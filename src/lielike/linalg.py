@@ -32,7 +32,8 @@ ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 
 def vec(entries: Iterable) -> Vector:
-    return tuple(Fraction(e) for e in entries)
+    # Fraction is immutable, so entries that already are one are shared
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def zero_vec(n: int) -> Vector:
@@ -378,43 +379,58 @@ def det(m: Matrix) -> Fraction:
 def charpoly(m: Matrix) -> tuple[Fraction, ...]:
     """Coefficients of det(tI - M), low degree first; always monic.
 
-    Computed by evaluating fraction-free determinants at t = 0..n and
-    interpolating, so no floating point and no division by polynomials.
+    Hessenberg method (Cohen, *A Course in Computational Algebraic Number
+    Theory*, §2.2): reduce M to upper Hessenberg form H by a
+    similarity over Q, then expand det(tI - H) by the recurrence on its
+    leading principal minors.  O(n^3) field operations, no determinants
+    and no division by polynomials.
     """
     if m.nrows != m.ncols:
         raise DimensionMismatch("charpoly of a non-square matrix")
     n = m.nrows
-    if n == 0:
-        return (ONE,)
-    points = [Fraction(t) for t in range(n + 1)]
-    values = [det(Matrix.identity(n).scale(t) - m) for t in points]
-    return _interpolate(points, values)
-
-
-def _interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Newton-form interpolation, returned as monomial coefficients."""
-    k = len(xs)
-    divided = list(ys)
-    for level in range(1, k):
-        for i in range(k - 1, level - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - level])
-    coeffs = [ZERO] * k
-    # Horner expansion of sum divided[i] * prod_{j<i}(t - xs[j])
-    acc = [ZERO] * k
-    acc[0] = ONE  # running product polynomial, starts at 1
-    deg = 0
-    for i in range(k):
-        for d in range(deg + 1):
-            coeffs[d] += divided[i] * acc[d]
-        if i < k - 1:
-            # multiply acc by (t - xs[i])
-            new = [ZERO] * k
-            for d in range(deg + 1):
-                new[d + 1] += acc[d]
-                new[d] -= xs[i] * acc[d]
-            acc = new
-            deg += 1
-    return tuple(coeffs)
+    h = [list(r) for r in m.rows]
+    for c in range(n - 2):
+        # pivot: first nonzero entry below the subdiagonal of column c
+        p = next((i for i in range(c + 1, n) if h[i][c] != 0), None)
+        if p is None:
+            continue
+        k = c + 1
+        if p != k:
+            # swap rows and the matching columns (conjugation by a permutation)
+            h[p], h[k] = h[k], h[p]
+            for row in h:
+                row[p], row[k] = row[k], row[p]
+        inv = ONE / h[k][c]
+        for i in range(k + 1, n):
+            u = h[i][c] * inv
+            if u == 0:
+                continue
+            # row_i -= u row_k with col_k += u col_i is one similarity step
+            hi, hk = h[i], h[k]
+            for j in range(c, n):
+                if hk[j] != 0:
+                    hi[j] -= u * hk[j]
+            for row in h:
+                if row[i] != 0:
+                    row[k] += u * row[i]
+    # p_j = det(tI - H[:j, :j]); polynomials as coefficient lists, low first
+    polys: list[list[Fraction]] = [[ONE]]
+    for j in range(n):
+        nxt = [ZERO] + polys[j]  # t * p_{j}
+        for d, x in enumerate(polys[j]):
+            nxt[d] -= h[j][j] * x
+        # - sum_i h[j-i][j] * h[j][j-1] ... h[j-i+1][j-i] * p_{j-i}
+        sub = ONE
+        for i in range(1, j + 1):
+            sub *= h[j - i + 1][j - i]
+            if sub == 0:
+                break
+            f = sub * h[j - i][j]
+            if f != 0:
+                for d, x in enumerate(polys[j - i]):
+                    nxt[d] -= f * x
+        polys.append(nxt)
+    return tuple(polys[n])
 
 
 def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:

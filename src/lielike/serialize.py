@@ -24,7 +24,17 @@ def scalar_to_str(x: Fraction) -> str:
 
 
 def scalar_from_str(s) -> Fraction:
-    return Fraction(s)
+    """Parse a JSON scalar: a string "p/q" or an integer.
+
+    JSON floats and booleans are refused, so no binary fraction can enter;
+    a zero denominator is a malformed scalar, not an arithmetic error.
+    """
+    if type(s) not in (str, int):
+        raise ValueError(f"scalar must be a string or an integer, not {s!r}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"scalar {s!r} has a zero denominator") from None
 
 
 def vector_to_json(v: Vector) -> list[str]:
@@ -32,7 +42,7 @@ def vector_to_json(v: Vector) -> list[str]:
 
 
 def vector_from_json(obj, length: int | None = None) -> Vector:
-    v = vec(Fraction(x) for x in obj)
+    v = vec(scalar_from_str(x) for x in obj)
     if length is not None and len(v) != length:
         raise ValueError(f"expected a vector of length {length}")
     return v
@@ -43,7 +53,7 @@ def matrix_to_json(m: Matrix) -> list[list[str]]:
 
 
 def matrix_from_json(obj, nrows: int | None = None, ncols: int | None = None) -> Matrix:
-    m = Matrix(obj)
+    m = Matrix([scalar_from_str(x) for x in row] for row in obj)
     if nrows is not None and (m.nrows, m.ncols) != (nrows, ncols):
         raise ValueError(f"expected a {nrows}x{ncols} matrix")
     return m

@@ -6,12 +6,17 @@ from lielike import OrdinaryModule, adjoint
 from lielike.linalg import Matrix
 
 
-def run(capsys, *argv):
+def run_captured(capsys, *argv):
     try:
         code = main(list(argv))
     except SystemExit as exc:
         code = exc.code
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run(capsys, *argv):
+    code, out, _ = run_captured(capsys, *argv)
     return code, out
 
 
@@ -165,6 +170,49 @@ class TestInvalidExits:
         assert code == 2
         code, _ = run(capsys, "oracle", path)
         assert code == 2
+
+
+class TestMalformedScalars:
+    """Scalars that are not exact rationals: one-line error, exit code 2."""
+
+    def verify_with_entry(self, tmp_path, capsys, leib2, entry):
+        obj = instance_to_json(leib2, adjoint(leib2))
+        obj["module"]["F"][0][1][0][0] = entry
+        path = tmp_path / "bad_scalar.json"
+        path.write_text(json.dumps(obj))
+        return run_captured(capsys, "verify", str(path), "--json")
+
+    def assert_rejected(self, result):
+        code, out, err = result
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed instance")
+        assert err.count("\n") == 1
+
+    def test_zero_denominator(self, tmp_path, capsys, leib2):
+        self.assert_rejected(self.verify_with_entry(tmp_path, capsys, leib2, "1/0"))
+
+    def test_json_float(self, tmp_path, capsys, leib2):
+        self.assert_rejected(self.verify_with_entry(tmp_path, capsys, leib2, 0.1))
+
+    def test_json_bool(self, tmp_path, capsys, leib2):
+        self.assert_rejected(self.verify_with_entry(tmp_path, capsys, leib2, True))
+
+    def test_float_in_structure_constants(self, tmp_path, capsys, leib2):
+        obj = instance_to_json(leib2, adjoint(leib2))
+        obj["algebra"]["c"][0][1][1][0] = 1.0
+        path = tmp_path / "bad_constant.json"
+        path.write_text(json.dumps(obj))
+        code, _ = run(capsys, "check-algebra", str(path))
+        assert code == 2
+
+    def test_integer_and_string_scalars_accepted(self, tmp_path, capsys, leib2):
+        obj = instance_to_json(leib2, adjoint(leib2))
+        obj["module"]["F"][0][1][0][1] = -1  # same value as "-1"
+        path = tmp_path / "int_scalar.json"
+        path.write_text(json.dumps(obj))
+        code, _ = run(capsys, "verify", str(path))
+        assert code == 0
 
 
 class TestDeterminism:

@@ -43,6 +43,58 @@ def matrices(n_min=1, n_max=4):
     )
 
 
+def sparse_matrices(n_max=9):
+    """Mostly-zero matrices: a few nonzero entries at random positions."""
+    return st.integers(1, n_max).flatmap(
+        lambda n: st.dictionaries(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            small_fracs,
+            max_size=2 * n,
+        ).map(
+            lambda entries: Matrix(
+                [[entries.get((i, j), F(0)) for j in range(n)] for i in range(n)]
+            )
+        )
+    )
+
+
+def _companion(coeffs):
+    """Companion matrix of the monic t^n + coeffs[n-1] t^(n-1) + ... + coeffs[0]."""
+    n = len(coeffs)
+    return Matrix(
+        [
+            [F(1) if j == i - 1 else F(0) for j in range(n - 1)] + [-coeffs[i]]
+            for i in range(n)
+        ]
+    )
+
+
+def _block_diagonal(a, b):
+    n, m = a.nrows, b.nrows
+    return Matrix(
+        [list(r) + [F(0)] * m for r in a.rows]
+        + [[F(0)] * n + list(r) for r in b.rows]
+    )
+
+
+def structured_matrices(n_max=9):
+    """Triangular, companion and block-diagonal matrices up to n_max."""
+    upper = st.integers(1, n_max).flatmap(
+        lambda n: st.lists(
+            st.lists(small_fracs, min_size=n, max_size=n), min_size=n, max_size=n
+        ).map(
+            lambda rows: Matrix(
+                [[x if j >= i else F(0) for j, x in enumerate(r)] for i, r in enumerate(rows)]
+            )
+        )
+    )
+    companion = st.lists(small_fracs, min_size=1, max_size=n_max).map(_companion)
+    blocks = st.tuples(matrices(1, 4), sparse_matrices(5)).map(
+        lambda ab: _block_diagonal(*ab)
+    )
+    return st.one_of(upper, upper.map(Matrix.transpose), companion, blocks)
+
+
 def subspace_pairs(n=4):
     rows = st.lists(
         st.lists(small_fracs, min_size=n, max_size=n), min_size=0, max_size=n
@@ -171,6 +223,90 @@ class TestEigen:
         n = M.nrows
         assert poly[0] == (-1) ** n * det(M)
         assert poly[-1] == 1
+
+
+class TestCharpoly:
+    @staticmethod
+    def assert_is_charpoly(M):
+        poly = charpoly(M)
+        n = M.nrows
+        assert len(poly) == n + 1 and poly[-1] == 1
+        for t in range(n + 2):
+            assert poly_eval(poly, F(t)) == det(Matrix.identity(n).scale(t) - M)
+
+    @settings(max_examples=50, deadline=None)
+    @given(matrices())
+    def test_dense_agrees_with_det(self, M):
+        self.assert_is_charpoly(M)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_matrices())
+    def test_sparse_agrees_with_det(self, M):
+        self.assert_is_charpoly(M)
+
+    @settings(max_examples=60, deadline=None)
+    @given(structured_matrices())
+    def test_structured_agrees_with_det(self, M):
+        self.assert_is_charpoly(M)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(small_fracs, min_size=1, max_size=9))
+    def test_companion_recovers_coefficients(self, coeffs):
+        assert charpoly(_companion(coeffs)) == tuple(coeffs) + (F(1),)
+
+    def test_empty_matrix(self):
+        assert charpoly(Matrix([])) == (F(1),)
+
+    def test_pivot_needs_row_and_column_swap(self):
+        # H[1][0] = 0 but H[2][0] != 0: the reduction swaps rows 1, 2 and
+        # the matching columns before eliminating
+        M = mat([[1, 2, 3], [0, 4, 5], [6, 7, 8]])
+        assert charpoly(M) == (F(15), F(-9), F(-13), F(1))
+        self.assert_is_charpoly(M)
+
+    def test_swap_with_elimination_below(self):
+        M = mat([[1, 2, 0, 1], [0, 3, 1, 0], [2, 0, 1, 1], [5, 1, 0, 2]])
+        self.assert_is_charpoly(M)
+
+    def test_columns_without_pivot(self):
+        # nilpotent upper-triangular: no column has a nonzero entry below
+        # its subdiagonal, so the reduction leaves M as it is
+        M = mat([[0, 1, 2, 3], [0, 0, 4, 5], [0, 0, 0, 6], [0, 0, 0, 0]])
+        assert charpoly(M) == (F(0), F(0), F(0), F(0), F(1))
+
+    def test_zero_subdiagonal_splits_recurrence(self):
+        # block diagonal with a 2x2 rotation: the zero subdiagonal entry
+        # cuts the recurrence, and the result is the product of the blocks'
+        M = mat([[0, -1, 0], [1, 0, 0], [0, 0, 2]])
+        assert charpoly(M) == (F(-2), F(1), F(-2), F(1))
+
+
+class TestVec:
+    def test_mixed_input_gives_fractions(self):
+        third = F(1, 3)
+        v = vec([1, "2/5", third, -4])
+        assert v == (F(1), F(2, 5), F(1, 3), F(-4))
+        assert all(type(x) is Fraction for x in v)
+        assert v[2] is third
+
+    def test_fraction_subclass_becomes_fraction(self):
+        class Sub(Fraction):
+            pass
+
+        (x,) = vec([Sub(1, 2)])
+        assert type(x) is Fraction and x == F(1, 2)
+
+    def test_matrix_entries(self):
+        half = F(1, 2)
+        M = Matrix([[1, "3/4"], [half, 0]])
+        assert all(type(x) is Fraction for r in M.rows for x in r)
+        assert M.rows[1][0] is half
+        assert M.rows == ((F(1), F(3, 4)), (F(1, 2), F(0)))
+
+    def test_span_entries(self):
+        S = Subspace.span(3, [[2, "1/2", F(3)], ["0", 1, F(-1, 7)]])
+        assert all(type(x) is Fraction for b in S.basis for x in b)
+        assert S.contains(vec([2, "1/2", 3]))
 
 
 class TestJointEigenvector:
