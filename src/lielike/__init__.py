@@ -6,6 +6,7 @@ from .algebra import (
     LieLikeAlgebra,
     bracket,
     check_algebra,
+    derived_algebra,
     derived_series,
     is_ideal,
     is_solvable,
@@ -30,7 +31,9 @@ from .generate import CONSTRUCTIONS, GeneratorSpec, Instance, generate
 from .linalg import (
     Matrix,
     Subspace,
+    common_eigenspace,
     eigenspace,
+    is_invariant,
     joint_eigenspace,
     joint_eigenvector,
     kernel,

@@ -167,20 +167,21 @@ def is_ideal(L: LieLikeAlgebra, I: Subspace) -> bool:
     return True
 
 
+def derived_algebra(L: LieLikeAlgebra) -> Subspace:
+    """D^2 L = sum_k <L, L>_k: the span of every structure-constant vector."""
+    return Subspace.span(L.dim, [v for tk in L.c for row in tk for v in row])
+
+
 def derived_series(L: LieLikeAlgebra) -> list[Subspace]:
     """D^1 L = L, D^{n+1} L = sum_k <D^n L, D^n L>_k, up to stabilization."""
     series = [Subspace.full(L.dim)]
-    while True:
-        cur = series[-1]
-        gens = []
-        for u in cur.basis:
-            for v in cur.basis:
-                for k in range(L.s):
-                    gens.append(bracket(L, u, v, k))
-        nxt = Subspace.span(L.dim, gens)
-        if nxt == cur:
-            return series
+    nxt = derived_algebra(L)
+    while nxt != series[-1]:
         series.append(nxt)
+        gens = [bracket(L, u, v, k) for u in nxt.basis for v in nxt.basis
+                for k in range(L.s)]
+        nxt = Subspace.span(L.dim, gens)
+    return series
 
 
 def is_solvable(L: LieLikeAlgebra) -> tuple[bool, int]:
@@ -198,8 +199,7 @@ def split_codim1(L: LieLikeAlgebra) -> tuple[Subspace, Vector]:
     """
     if L.dim < 1:
         raise DimensionMismatch("split needs dim >= 1")
-    series = derived_series(L)
-    d2 = series[1] if len(series) > 1 else series[0]
+    d2 = derived_algebra(L)
     if d2.dim == L.dim:
         raise NotSolvable("D^2 L = L blocks the codimension-1 split")
     current = d2

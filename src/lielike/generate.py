@@ -20,9 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .algebra import LieLikeAlgebra
+from .algebra import LieLikeAlgebra, bracket
 from .linalg import Matrix, inverse, vec
-from .modules import OrdinaryModule, adjoint, direct_sum
+from .modules import OrdinaryModule, adjoint, change_basis, direct_sum
 
 CONSTRUCTIONS = (
     "abelian",
@@ -137,40 +137,19 @@ def transform_instance(
     The module space is transformed by P when vdim equals the algebra
     dimension (the adjoint situation), otherwise left untouched.
     """
-    from .algebra import bracket  # deferred to avoid an import cycle at load
-
-    n = L.dim
     Pinv = inverse(P)
-    old_basis = [Pinv.column(i) for i in range(n)]  # new basis in old coords
-    c = []
-    for k in range(L.s):
-        tk = []
-        for bi in old_basis:
-            row = []
-            for bj in old_basis:
-                row.append(P.apply(bracket(L, bi, bj, k)))
-            tk.append(tuple(row))
-        c.append(tuple(tk))
-    L2 = LieLikeAlgebra(n, L.s, tuple(c))
-
-    if M.vdim == n:
-        Q, Qinv = P, Pinv
-    else:
-        Q = Qinv = Matrix.identity(M.vdim)
-
-    def recurried(fam):
-        out = []
-        for k in range(L.s):
-            ops = []
-            for i in range(n):
-                combo = Matrix.zeros(M.vdim, M.vdim)
-                for l in range(n):
-                    w = old_basis[i][l]
-                    if w != 0:
-                        combo = combo + fam[k][l].scale(w)
-                ops.append(Q @ combo @ Qinv)
-            out.append(tuple(ops))
-        return tuple(out)
-
-    M2 = OrdinaryModule(L2, M.vdim, recurried(M.F), recurried(M.G))
+    old_basis = [Pinv.column(i) for i in range(L.dim)]  # new basis in old coords
+    c = tuple(
+        tuple(
+            tuple(P.apply(bracket(L, bi, bj, k)) for bj in old_basis)
+            for bi in old_basis
+        )
+        for k in range(L.s)
+    )
+    L2 = LieLikeAlgebra(L.dim, L.s, c)
+    F = tuple(tuple(M.f(k, b) for b in old_basis) for k in range(L.s))
+    G = tuple(tuple(M.g(k, b) for b in old_basis) for k in range(L.s))
+    M2 = OrdinaryModule(L2, M.vdim, F, G)
+    if M.vdim == L.dim:
+        M2 = change_basis(M2, P)
     return L2, M2

@@ -521,6 +521,24 @@ def eigenspace(m: Matrix, lam) -> Subspace:
     return kernel(m - Matrix.identity(m.nrows).scale(lam))
 
 
+def common_eigenspace(
+    pairs: Iterable[tuple[Matrix, Fraction]], within: Subspace
+) -> Subspace:
+    """Intersection of `within` with ker(op - lam I) over the (op, lam)
+    pairs, in order; stops consuming pairs once the space is zero."""
+    space = within
+    for op, lam in pairs:
+        if space.dim == 0:
+            break
+        space = space.intersect(eigenspace(op, lam))
+    return space
+
+
+def is_invariant(ops: Iterable[Matrix], space: Subspace) -> bool:
+    """True iff every operator maps `space` into itself."""
+    return all(space.contains(op.apply(b)) for op in ops for b in space.basis)
+
+
 # ---------------------------------------------------------------------------
 # restrictions and joint eigenvectors
 # ---------------------------------------------------------------------------

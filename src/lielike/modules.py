@@ -22,6 +22,7 @@ from .linalg import (
     Subspace,
     Vector,
     inverse,
+    is_invariant,
     vscale,
 )
 
@@ -73,8 +74,8 @@ class ModuleViolation:
 
 
 @dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of checking identities that must hold automatically."""
+class Report:
+    """Outcome of a check that lists its failures instead of raising."""
 
     ok: bool
     failures: tuple[str, ...] = ()
@@ -110,7 +111,7 @@ def check_module(M: OrdinaryModule) -> list[ModuleViolation]:
     return out
 
 
-def check_derived_identities(M: OrdinaryModule) -> IdentityReport:
+def check_derived_identities(M: OrdinaryModule) -> Report:
     """Confirm f_h(<x,y>_k) = f_k(<x,y>_h) and the g analogue.
 
     These follow from the axioms over a valid algebra; a failure signals an
@@ -128,7 +129,7 @@ def check_derived_identities(M: OrdinaryModule) -> IdentityReport:
                         failures.append(f"f-swap at (k={k}, h={h}, i={i}, j={j})")
                     if not (M.g(h, wk) - M.g(k, wh)).is_zero():
                         failures.append(f"g-swap at (k={k}, h={h}, i={i}, j={j})")
-    return IdentityReport(not failures, tuple(failures))
+    return Report(not failures, tuple(failures))
 
 
 def adjoint(L: LieLikeAlgebra) -> OrdinaryModule:
@@ -164,13 +165,7 @@ def is_submodule(M: OrdinaryModule, U: Subspace) -> bool:
     """True iff every operator of the module maps U into U."""
     if U.ambient != M.vdim:
         raise DimensionMismatch("subspace ambient mismatch")
-    for fam in (M.F, M.G):
-        for fk in fam:
-            for op in fk:
-                for b in U.basis:
-                    if not U.contains(op.apply(b)):
-                        return False
-    return True
+    return is_invariant((op for fam in (M.F, M.G) for fk in fam for op in fk), U)
 
 
 def restrict_module(

@@ -59,13 +59,34 @@ def matrix_from_json(obj, nrows: int | None = None, ncols: int | None = None) ->
     return m
 
 
-def _sparse_get(node, key: int):
-    """Index into either a list or a string-keyed dict; None when omitted."""
+def _size(obj: Mapping, key: str) -> int:
+    """A declared size: a non-negative JSON integer (booleans refused)."""
+    x = obj[key]
+    if type(x) is not int or x < 0:
+        raise ValueError(f"{key!r} must be a non-negative integer, not {x!r}")
+    return x
+
+
+def _sparse_entries(node, length: int, where: str) -> list:
+    """The `length` entries of a list or index-keyed dict, None where omitted.
+
+    A list longer than `length`, or a key that is not an index below
+    `length`, is malformed rather than silently ignored.
+    """
     if node is None:
-        return None
+        return [None] * length
     if isinstance(node, Mapping):
-        return node.get(str(key), node.get(key))
-    return node[key] if key < len(node) else None
+        index = {str(i): i for i in range(length)}
+        out = [None] * length
+        for key, entry in node.items():
+            i = index.get(str(key))
+            if i is None:
+                raise ValueError(f"{where} has key {key!r}, not an index below {length}")
+            out[i] = entry
+        return out
+    if len(node) > length:
+        raise ValueError(f"{where} has {len(node)} entries, expected at most {length}")
+    return list(node) + [None] * (length - len(node))
 
 
 def algebra_to_json(L: LieLikeAlgebra) -> dict:
@@ -79,19 +100,16 @@ def algebra_to_json(L: LieLikeAlgebra) -> dict:
 
 
 def algebra_from_json(obj: Mapping) -> LieLikeAlgebra:
-    n = int(obj["dim"])
-    s = int(obj["s"])
-    craw = obj.get("c")
+    n = _size(obj, "dim")
+    s = _size(obj, "s")
     c = []
-    for k in range(s):
+    for k, knode in enumerate(_sparse_entries(obj.get("c"), s, "c")):
         tk = []
-        knode = _sparse_get(craw, k)
-        for i in range(n):
-            inode = _sparse_get(knode, i)
-            row = []
-            for j in range(n):
-                entry = _sparse_get(inode, j)
-                row.append(zero_vec(n) if entry is None else vector_from_json(entry, n))
+        for i, inode in enumerate(_sparse_entries(knode, n, f"c[{k}]")):
+            row = [
+                zero_vec(n) if entry is None else vector_from_json(entry, n)
+                for entry in _sparse_entries(inode, n, f"c[{k}][{i}]")
+            ]
             tk.append(tuple(row))
         c.append(tuple(tk))
     return LieLikeAlgebra(n, s, tuple(c))
@@ -106,23 +124,18 @@ def module_to_json(M: OrdinaryModule) -> dict:
 
 
 def module_from_json(obj: Mapping, algebra: LieLikeAlgebra) -> OrdinaryModule:
-    m = int(obj["vdim"])
+    m = _size(obj, "vdim")
 
-    def family(raw):
+    def family(name):
         fam = []
-        for k in range(algebra.s):
-            knode = _sparse_get(raw, k)
-            ops = []
-            for i in range(algebra.dim):
-                entry = _sparse_get(knode, i)
-                ops.append(
-                    Matrix.zeros(m, m) if entry is None
-                    else matrix_from_json(entry, m, m)
-                )
-            fam.append(tuple(ops))
+        for k, knode in enumerate(_sparse_entries(obj.get(name), algebra.s, name)):
+            fam.append(tuple(
+                Matrix.zeros(m, m) if entry is None else matrix_from_json(entry, m, m)
+                for entry in _sparse_entries(knode, algebra.dim, f"{name}[{k}]")
+            ))
         return tuple(fam)
 
-    return OrdinaryModule(algebra, m, family(obj.get("F")), family(obj.get("G")))
+    return OrdinaryModule(algebra, m, family("F"), family("G"))
 
 
 def instance_to_json(

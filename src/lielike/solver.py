@@ -18,6 +18,7 @@ from typing import Sequence
 from .algebra import (
     LieLikeAlgebra,
     bracket,
+    derived_algebra,
     is_solvable,
     restrict_algebra,
     split_codim1,
@@ -36,17 +37,19 @@ from .linalg import (
     Subspace,
     Vector,
     commutator,
+    common_eigenspace,
+    eigenspace,
+    is_invariant,
     is_zero_vec,
     joint_eigenspace,
     joint_eigenvector,
-    kernel,
     rational_eigenvalues,
     solve_linear,
     unit_vec,
     vec,
     zero_vec,
 )
-from .modules import OrdinaryModule, plus_annihilator, restrict_module
+from .modules import OrdinaryModule, Report, plus_annihilator, restrict_module
 
 Grid = tuple[Vector, ...]  # s rows of functional values on a basis
 
@@ -68,11 +71,6 @@ class Weight:
 
     phi: Grid
     psi: Grid
-
-    @classmethod
-    def zero(cls, s: int, n: int) -> "Weight":
-        z = tuple(zero_vec(n) for _ in range(s))
-        return cls(z, z)
 
 
 @dataclass(frozen=True)
@@ -110,20 +108,17 @@ def verify_weight(M: OrdinaryModule, v: Vector, w: Weight) -> bool:
     return True
 
 
-def weight_space(
-    M: OrdinaryModule, a_basis: Sequence[Vector], w: Weight
-) -> Subspace:
-    """Joint space of the prescribed functionals over the given vectors:
-    intersection of ker(f_k(a) - phi I) and ker(g_k(a) - psi I)."""
-    space = Subspace.full(M.vdim)
-    ident = Matrix.identity(M.vdim)
-    for k in range(M.algebra.s):
-        for p, a in enumerate(a_basis):
-            space = space.intersect(kernel(M.f(k, a) - ident.scale(w.phi[k][p])))
-            space = space.intersect(kernel(M.g(k, a) - ident.scale(w.psi[k][p])))
-            if space.dim == 0:
-                return space
-    return space
+def weight_space(M: OrdinaryModule, w: Weight) -> Subspace:
+    """Joint space of the functionals on M's own basis operators: the
+    intersection of ker(F[k][i] - phi_k(e_i) I) and ker(G[k][i] - psi_k(e_i) I)
+    over every k and i."""
+    pairs = (
+        (fam[k][i], grid[k][i])
+        for k in range(M.algebra.s)
+        for i in range(M.algebra.dim)
+        for fam, grid in ((M.F, w.phi), (M.G, w.psi))
+    )
+    return common_eigenspace(pairs, Subspace.full(M.vdim))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +155,7 @@ def _solve(L: LieLikeAlgebra, M: OrdinaryModule):
     v_rec, phi_rec, psi_rec, trace_rec = _solve(LA, MA)
     w_rec = Weight(phi_rec, psi_rec)
 
-    U = weight_space(M, A.basis, w_rec)
+    U = weight_space(MA, w_rec)
     if U.dim == 0 or not U.contains(v_rec):
         raise TheoremViolation("recursive weight space lost its weight vector")
 
@@ -183,7 +178,7 @@ def _solve(L: LieLikeAlgebra, M: OrdinaryModule):
             a - b for a, b in zip(Fx[h0].apply(wvec), Gx[h0].apply(wvec))
         )
         psi_zero = tuple(zero_vec(A.dim) for _ in range(s))
-        u_tilde = weight_space(M, A.basis, Weight(phi_rec, psi_zero))
+        u_tilde = weight_space(MA, Weight(phi_rec, psi_zero))
         meet_tilde = u_tilde.intersect(ann)
         if is_zero_vec(w_tilde) or not meet_tilde.contains(w_tilde):
             raise TheoremViolation("case-1 witness left the expected space")
@@ -253,12 +248,6 @@ class _FunctionalExtender:
 # lemma checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LemmaReport:
-    ok: bool
-    failures: tuple[str, ...] = ()
-
-
 def normalizer_invariance_check(
     ops_A: Sequence[Matrix], phi: Sequence, ops_G: Sequence[Matrix]
 ) -> bool:
@@ -283,15 +272,8 @@ def normalizer_invariance_check(
                 raise NormalizerPreconditionFailed(
                     "[A, X] does not lie in span(ops_A)"
                 )
-    space = Subspace.full(dim)
-    ident = Matrix.identity(dim)
-    for A, lam in zip(ops_A, phi):
-        space = space.intersect(kernel(A - ident.scale(Fraction(lam))))
-    for X in ops_G:
-        for b in space.basis:
-            if not space.contains(X.apply(b)):
-                return False
-    return True
+    space = common_eigenspace(zip(ops_A, phi), Subspace.full(dim))
+    return is_invariant(ops_G, space)
 
 
 def _check_split(L: LieLikeAlgebra, A: Subspace, x: Vector) -> None:
@@ -303,12 +285,9 @@ def _check_split(L: LieLikeAlgebra, A: Subspace, x: Vector) -> None:
     full = A.add(Subspace.span(L.dim, [x]))
     if full.dim != L.dim:
         raise SetupInvalid("A + kx must be all of L")
-    probes = list(A.basis) + [x]
-    for u in probes:
-        for w in probes:
-            for k in range(L.s):
-                if not A.contains(bracket(L, u, w, k)):
-                    raise SetupInvalid("brackets must land in the ideal A")
+    # A.basis + [x] is a basis of L, so its brackets span D^2 L
+    if not all(A.contains(b) for b in derived_algebra(L).basis):
+        raise SetupInvalid("brackets must land in the ideal A")
 
 
 def congruence_check(
@@ -320,7 +299,7 @@ def congruence_check(
     w: Weight,
     h: int,
     depth: int,
-) -> LemmaReport:
+) -> Report:
     """Congruences for the iterates u_m = g_h(x)^m(u0).
 
     Verifies f_k(a)(u_m) = phi_k(a) u_m and g_k(a)(u_m) = psi_k(a) u_m
@@ -365,7 +344,7 @@ def congruence_check(
                 failures.append(f"x-congruence fails at (m={m}, k={k})")
         if failures:
             break  # report the first failing level only
-    return LemmaReport(not failures, tuple(failures))
+    return Report(not failures, tuple(failures))
 
 
 def trace_vanishing_check(
@@ -374,14 +353,15 @@ def trace_vanishing_check(
     x: Vector,
     M: OrdinaryModule,
     w: Weight,
-) -> LemmaReport:
+) -> Report:
     """psi'_h(<x, a>_k) = 0 for basis a of A, and psi'_h(<x, x>_k) = 0.
 
     The weight must come from a genuine solve over A (some nonzero vector
     realizes the functionals); a failure is a theorem-violation finding.
     """
     _check_split(L, A, x)
-    if weight_space(M, A.basis, w).dim == 0:
+    MA = restrict_module(M, A, restrict_algebra(L, A))
+    if weight_space(MA, w).dim == 0:
         raise SetupInvalid("no nonzero vector realizes the given functionals")
 
     def psi_at(h: int, z: Vector) -> Fraction:
@@ -400,7 +380,7 @@ def trace_vanishing_check(
                     failures.append(f"psi_{h}(<x, a_{p}>_{k}) != 0")
             if psi_at(h, bracket(L, x, x, k)) != 0:
                 failures.append(f"psi_{h}(<x, x>_{k}) != 0")
-    return LemmaReport(not failures, tuple(failures))
+    return Report(not failures, tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -448,12 +428,11 @@ def oracle_solve(
         roots, fully = rational_eigenvalues(op)
         if not fully:
             saw_nonsplit = True
+        eigenspaces = [(lam, eigenspace(op, lam)) for lam, _ in roots]
         new = []
         for space, assignment in fronts:
-            for lam, _ in roots:
-                cut = space.intersect(
-                    kernel(op - Matrix.identity(m).scale(lam))
-                )
+            for lam, eig in eigenspaces:
+                cut = space.intersect(eig)
                 if cut.dim > 0:
                     new.append((cut, assignment + (lam,)))
         fronts = new

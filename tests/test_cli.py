@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from lielike.cli import main
 from lielike.serialize import algebra_to_json, dumps, instance_to_json
 from lielike import OrdinaryModule, adjoint
@@ -213,6 +215,74 @@ class TestMalformedScalars:
         path.write_text(json.dumps(obj))
         code, _ = run(capsys, "verify", str(path))
         assert code == 0
+
+
+class TestMalformedSizes:
+    """dim, s and vdim must be non-negative JSON integers."""
+
+    @pytest.mark.parametrize("section, field", [
+        ("algebra", "dim"), ("algebra", "s"), ("module", "vdim"),
+    ])
+    @pytest.mark.parametrize("value", [2.5, True, "2", -1])
+    def test_rejected(self, tmp_path, capsys, leib2, section, field, value):
+        obj = instance_to_json(leib2, adjoint(leib2))
+        obj[section][field] = value
+        path = tmp_path / "bad_size.json"
+        path.write_text(json.dumps(obj))
+        TestMalformedScalars().assert_rejected(
+            run_captured(capsys, "verify", str(path), "--json")
+        )
+
+
+class TestOverlongInput:
+    """Entries past the declared shape are malformed, never truncated."""
+
+    def verify(self, tmp_path, capsys, obj):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(obj))
+        return run_captured(capsys, "verify", str(path), "--json")
+
+    def instance(self, leib2):
+        return instance_to_json(leib2, adjoint(leib2))
+
+    @pytest.mark.parametrize("where", [
+        ("algebra", "c"),
+        ("algebra", "c", 0),
+        ("algebra", "c", 0, 1),
+        ("module", "F"),
+        ("module", "F", 0),
+        ("module", "G"),
+        ("module", "G", 0),
+    ], ids=lambda w: "".join(f"[{x}]" for x in w[1:]))
+    def test_extra_list_entry(self, tmp_path, capsys, leib2, where):
+        obj = self.instance(leib2)
+        node = obj
+        for key in where:
+            node = node[key]
+        node.append(node[-1])
+        TestMalformedScalars().assert_rejected(self.verify(tmp_path, capsys, obj))
+
+    @pytest.mark.parametrize("key", ["2", "-1", "01", "x"])
+    def test_bad_dict_key(self, tmp_path, capsys, leib2, key):
+        obj = self.instance(leib2)
+        obj["algebra"]["c"][0] = {"1": {"1": ["1", "0"]}, key: None}
+        TestMalformedScalars().assert_rejected(self.verify(tmp_path, capsys, obj))
+
+    @pytest.mark.parametrize("key", ["2", "x"])
+    def test_bad_operator_key(self, tmp_path, capsys, leib2, key):
+        obj = self.instance(leib2)
+        obj["module"]["F"][0] = {key: obj["module"]["F"][0][0]}
+        TestMalformedScalars().assert_rejected(self.verify(tmp_path, capsys, obj))
+
+    def test_sparse_authoring_still_accepted(self, tmp_path, capsys, leib2):
+        dense = self.verify(tmp_path, capsys, self.instance(leib2))
+        obj = self.instance(leib2)
+        obj["algebra"]["c"] = [{"1": [None, ["1", "0"]]}]  # omitted and null
+        module = obj["module"]
+        module["F"] = [{"1": module["F"][0][1]}]
+        module["G"] = [[None, module["G"][0][1]]]
+        assert self.verify(tmp_path, capsys, obj) == dense
+        assert dense[0] == 0
 
 
 class TestDeterminism:

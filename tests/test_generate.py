@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from lielike import (
@@ -8,6 +10,7 @@ from lielike import (
     generate,
     is_solvable,
     is_trivial,
+    run_verify,
 )
 from lielike.serialize import (
     dumps,
@@ -107,3 +110,50 @@ class TestRoundTrip:
         assert L == inst.algebra
         assert M == inst.module
         assert meta == inst.metadata
+
+
+# sha256 of the canonical instance JSON and of the canonical verify report
+GOLDEN = [
+    ("abelian", 3, 2, 0,
+     "072e3bd05a5672b235917512a1a58749d4ec411ca015e75c3154faf3e4a8995b",
+     "a60856498ab81a5142def758a343c23dc3b915485d397567cc1f7f1b785fe19b"),
+    ("scaled-leibniz-bundle", 3, 2, 0,
+     "f7f2b90548f1d14e26a4802a14b4ffebe9721cb8396b50191180b1ad97e58fad",
+     "63f4db477656e73f4c3276febe4ef80d200a0a7c7578527e35b77fc112e09dea"),
+    ("graded-nilpotent", 3, 2, 0,
+     "bb6d843533d98fc7b8cae4fb42bdc6fba0a7925369a79b800f180a9dece9fdc9",
+     "dc9f67d904eb3c93db799e218c584d6cfcec9fcdbe929db7d03369cf8ccc7795"),
+    ("direct-sum", 3, 2, 0,
+     "dceaea1f29305d227fd424c1ab8db35b76e53f043c0a0d57e5b0882c8249a0c4",
+     "ff77220a81c290817b004e8b7a15b03e24958299e50825c50d86d97bfee5839b"),
+    ("basis-changed", 3, 2, 0,
+     "226ad1c92f88017e00e28fe57e669707d0b9a0c3e1c03a2bc67f1ebd5499df8c",
+     "dc9f67d904eb3c93db799e218c584d6cfcec9fcdbe929db7d03369cf8ccc7795"),
+    ("basis-changed", 4, 3, 1,
+     "fbff3482c53c118838764417e69925e9c46e10500a20d8bec4a340de1c5d5131",
+     "819b522e06b6a442966f5b14fd27f9f2981328e3fdd74184c736b8b6ea6bd457"),
+]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGolden:
+    """Byte-identity of generated instances and of their verify reports."""
+
+    def test_every_construction_pinned(self):
+        assert {row[0] for row in GOLDEN} == set(CONSTRUCTIONS)
+
+    @pytest.mark.parametrize(
+        "construction, dim, s, seed, instance_hash, report_hash", GOLDEN
+    )
+    def test_pinned_hashes(
+        self, construction, dim, s, seed, instance_hash, report_hash
+    ):
+        inst = generate(GeneratorSpec(construction, dim, s, seed))
+        obj = instance_to_json(inst.algebra, inst.module, inst.metadata)
+        assert sha256(dumps(obj)) == instance_hash
+        report, code = run_verify(inst.algebra, inst.module)
+        assert code == 0
+        assert sha256(dumps(report)) == report_hash

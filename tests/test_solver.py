@@ -40,7 +40,8 @@ def fvec(xs):
 
 
 def zero_weight(s, n):
-    return Weight.zero(s, n)
+    z = tuple(fvec([0] * n) for _ in range(s))
+    return Weight(z, z)
 
 
 @pytest.fixture(scope="session")
@@ -196,14 +197,26 @@ class TestOracle:
 
 
 class TestWeightSpace:
-    def test_empty_basis_is_full(self, leib2):
-        M = adjoint(leib2)
-        assert weight_space(M, [], Weight((), ())) == Subspace.full(2)
+    def test_empty_basis_is_full(self):
+        # a module over the zero algebra has no operators to intersect
+        M = OrdinaryModule(LieLikeAlgebra(0, 1, ((),)), 2, ((),), ((),))
+        assert weight_space(M, Weight(((),), ((),))) == Subspace.full(2)
 
     def test_leib2_zero_weight(self, leib2):
+        # the operators f_0(e2), g_0(e2) of adjoint(leib2) over a line
         M = adjoint(leib2)
+        e2 = fvec([0, 1])
+        line = LieLikeAlgebra.from_constants(1, 1, {})
+        ops = OrdinaryModule(line, 2, ((M.f(0, e2),),), ((M.g(0, e2),),))
         w = Weight((fvec([0]),), (fvec([0]),))
-        assert weight_space(M, [fvec([0, 1])], w) == span(2, [[1, 0]])
+        assert weight_space(ops, w) == span(2, [[1, 0]])
+
+    def test_phi_and_psi_read_separately(self):
+        line = LieLikeAlgebra.from_constants(1, 1, {})
+        f = Matrix([[F(1), F(0)], [F(0), F(2)]])
+        M = OrdinaryModule(line, 2, ((f,),), ((Matrix.zeros(2, 2),),))
+        w = Weight((fvec([1]),), (fvec([0]),))
+        assert weight_space(M, w) == span(2, [[1, 0]])
 
 
 class TestNormalizerInvariance:
