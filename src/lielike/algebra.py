@@ -18,11 +18,11 @@ from .errors import DimensionMismatch, NotClosed, NotSolvable
 from .linalg import (
     Subspace,
     Vector,
+    combine,
     is_zero_vec,
     unit_vec,
     vadd,
     vec,
-    vscale,
     zero_vec,
 )
 
@@ -81,16 +81,13 @@ def bracket(L: LieLikeAlgebra, x: Vector, y: Vector, k: int) -> Vector:
         raise DimensionMismatch("bracket index out of range")
     if len(x) != L.dim or len(y) != L.dim:
         raise DimensionMismatch("bracket operands have wrong length")
-    out = zero_vec(L.dim)
     ck = L.c[k]
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            out = vadd(out, vscale(xi * yj, ck[i][j]))
-    return out
+    terms = (
+        (xi * yj, ck[i][j])
+        for i, xi in enumerate(x) if xi
+        for j, yj in enumerate(y) if yj
+    )
+    return combine(terms, L.dim)
 
 
 def check_algebra(L: LieLikeAlgebra) -> list[AlgebraViolation]:

@@ -15,7 +15,7 @@ import sys
 
 from . import serialize
 from .algebra import check_algebra, derived_series, is_solvable
-from .errors import LieLikeError, NonSplitSpectrum
+from .errors import DimensionMismatch, LieLikeError, NonSplitSpectrum, NotSolvable
 from .generate import CONSTRUCTIONS, GeneratorSpec, generate
 from .modules import adjoint, check_module, plus_annihilator
 from .solver import oracle_solve, solve
@@ -49,6 +49,11 @@ def _load_instance(path: str):
     except (LieLikeError, KeyError, ValueError, TypeError) as exc:
         print(f"error: malformed instance in {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
+
+
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 def _emit(payload: dict, as_json: bool, lines) -> None:
@@ -153,9 +158,10 @@ def cmd_solve(args) -> int:
     L, M, _ = _load_instance(args.file)
     try:
         result = solve(L, M)
-    except NonSplitSpectrum as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    except NotSolvable as exc:
+        return _fail(exc, EXIT_VIOLATION)
+    except (NonSplitSpectrum, DimensionMismatch) as exc:
+        return _fail(exc, EXIT_INVALID)
     payload = serialize.result_to_json(result)
     lines = [
         "v = " + " ".join(payload["v"]),
@@ -172,9 +178,8 @@ def cmd_oracle(args) -> int:
     L, M, _ = _load_instance(args.file)
     try:
         entries = oracle_solve(L, M)
-    except NonSplitSpectrum as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    except (NonSplitSpectrum, DimensionMismatch) as exc:
+        return _fail(exc, EXIT_INVALID)
     payload = {
         "entries": [
             {
@@ -197,7 +202,10 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     L, M, _ = _load_instance(args.file)
-    report, code = run_verify(L, M)
+    try:
+        report, code = run_verify(L, M)
+    except DimensionMismatch as exc:
+        return _fail(exc, EXIT_INVALID)
     lines = []
     for name, info in report["checks"].items():
         lines.append(f"{name}: {'ok' if info.get('ok') else 'FAILED'}")
@@ -214,8 +222,7 @@ def cmd_generate(args) -> int:
             args.construction, args.dim, args.s, args.seed, args.bound
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _fail(exc, EXIT_INVALID)
     inst = generate(spec)
     text = serialize.dumps(
         serialize.instance_to_json(inst.algebra, inst.module, inst.metadata)

@@ -65,6 +65,21 @@ def is_zero_vec(a: Vector) -> bool:
     return all(x == 0 for x in a)
 
 
+def combine(terms: Iterable[tuple], n: int) -> Vector:
+    """Sum of c*v over the (c, v) pairs, v in Q^n.
+
+    Zero coefficients and zero entries are skipped: the operands here are
+    typically sparse.
+    """
+    acc = [ZERO] * n
+    for c, v in terms:
+        if c:
+            for j, x in enumerate(v):
+                if x:
+                    acc[j] += c * x
+    return tuple(acc)
+
+
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
@@ -119,18 +134,9 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise DimensionMismatch("matrix product shape mismatch")
-        bt = other.transpose().rows
-        out = []
-        for row in self.rows:
-            # skip zero entries: operator matrices here are typically sparse
-            nz = [(j, x) for j, x in enumerate(row) if x != 0]
-            out.append(
-                tuple(
-                    sum((x * bt[j2][j] for j, x in nz), ZERO)
-                    for j2 in range(other.ncols)
-                )
-            )
-        return Matrix(out)
+        # row i of AB is the combination of B's rows by row i of A
+        n = other.ncols
+        return Matrix([combine(zip(row, other.rows), n) for row in self.rows])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -142,19 +148,11 @@ class Matrix:
             raise DimensionMismatch("matrix difference shape mismatch")
         return Matrix([vsub(a, b) for a, b in zip(self.rows, other.rows)])
 
-    def __neg__(self) -> "Matrix":
-        return self.scale(-1)
-
     def scale(self, c) -> "Matrix":
         return Matrix([vscale(c, r) for r in self.rows])
 
     def transpose(self) -> "Matrix":
         return Matrix([self.column(j) for j in range(self.ncols)])
-
-    def trace(self) -> Fraction:
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), ZERO)
 
     def is_zero(self) -> bool:
         return all(is_zero_vec(r) for r in self.rows)
@@ -253,11 +251,7 @@ class Subspace:
         if len(v) != self.ambient:
             raise DimensionMismatch("vector/ambient mismatch")
         coeffs = tuple(v[p] for p in self.pivots)
-        residual = list(v)
-        for c, row in zip(coeffs, self.basis):
-            if c != 0:
-                residual = [x - c * y for x, y in zip(residual, row)]
-        if any(x != 0 for x in residual):
+        if tuple(v) != combine(zip(coeffs, self.basis), self.ambient):
             return None
         return coeffs
 
@@ -280,14 +274,11 @@ class Subspace:
         # kernel elements (a | b) satisfy sum a_i u_i = sum b_j w_j
         cols = [v for v in self.basis] + [vscale(-1, w) for w in other.basis]
         m = Matrix.from_columns(cols, self.ambient)
-        ker = kernel(m)
-        vectors = []
-        for coeffs in ker.basis:
-            v = zero_vec(self.ambient)
-            for a, u in zip(coeffs[: self.dim], self.basis):
-                if a != 0:
-                    v = vadd(v, vscale(a, u))
-            vectors.append(v)
+        # zip stops at self.dim: the a-part of each kernel vector
+        vectors = [
+            combine(zip(coeffs, self.basis), self.ambient)
+            for coeffs in kernel(m).basis
+        ]
         return Subspace.span(self.ambient, vectors)
 
     def __eq__(self, other) -> bool:
@@ -559,13 +550,9 @@ def restrict_operator(m: Matrix, s: Subspace) -> Matrix:
 
 def lift_subspace(inner: Subspace, outer: Subspace) -> Subspace:
     """Embed a subspace given in the coordinates of `outer` back into Q^n."""
-    vectors = []
-    for coeffs in inner.basis:
-        v = zero_vec(outer.ambient)
-        for a, b in zip(coeffs, outer.basis):
-            if a != 0:
-                v = vadd(v, vscale(a, b))
-        vectors.append(v)
+    vectors = [
+        combine(zip(coeffs, outer.basis), outer.ambient) for coeffs in inner.basis
+    ]
     return Subspace.span(outer.ambient, vectors)
 
 

@@ -21,6 +21,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    combine,
     inverse,
     is_invariant,
     vscale,
@@ -57,11 +58,9 @@ class OrdinaryModule:
 
 
 def _linear_combination(ops: Sequence[Matrix], z: Vector, m: int) -> Matrix:
-    out = Matrix.zeros(m, m)
-    for zi, op in zip(z, ops, strict=True):
-        if zi != 0:
-            out = out + op.scale(zi)
-    return out
+    terms = [(zi, op.rows) for zi, op in zip(z, ops, strict=True) if zi]
+    return Matrix([combine(((zi, rows[r]) for zi, rows in terms), m)
+                   for r in range(m)])
 
 
 @dataclass(frozen=True)
@@ -97,15 +96,16 @@ def check_module(M: OrdinaryModule) -> list[ModuleViolation]:
             for i in range(n):
                 for j in range(n):
                     w = L.c[k][i][j]
+                    # each shared by two axioms; computed once
+                    fhi_fkj = F[h][i] @ F[k][j]
+                    ghi_fkj = G[h][i] @ F[k][j]
                     record("eq-1.3", k, h, i, j,
-                           M.f(h, w) - (F[h][i] @ F[k][j] - F[k][j] @ F[h][i]))
+                           M.f(h, w) - (fhi_fkj - F[k][j] @ F[h][i]))
                     record("eq-1.4", k, h, i, j,
-                           M.g(h, w) - (G[h][i] @ F[k][j] - F[k][j] @ G[h][i]))
-                    mid = G[h][i] @ F[k][j]
-                    record("eq-1.5", k, h, i, j, G[k][i] @ G[h][j] - mid)
-                    record("eq-1.5", k, h, i, j, mid - G[k][i] @ F[h][j])
-                    record("eq-1.6a", k, h, i, j,
-                           F[k][i] @ F[h][j] - F[h][i] @ F[k][j])
+                           M.g(h, w) - (ghi_fkj - F[k][j] @ G[h][i]))
+                    record("eq-1.5", k, h, i, j, G[k][i] @ G[h][j] - ghi_fkj)
+                    record("eq-1.5", k, h, i, j, ghi_fkj - G[k][i] @ F[h][j])
+                    record("eq-1.6a", k, h, i, j, F[k][i] @ F[h][j] - fhi_fkj)
                     record("eq-1.6b", k, h, i, j,
                            F[k][i] @ G[h][j] - F[h][i] @ G[k][j])
     return out

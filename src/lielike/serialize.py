@@ -41,9 +41,9 @@ def vector_to_json(v: Vector) -> list[str]:
     return [scalar_to_str(x) for x in v]
 
 
-def vector_from_json(obj, length: int | None = None) -> Vector:
+def vector_from_json(obj, length: int) -> Vector:
     v = vec(scalar_from_str(x) for x in obj)
-    if length is not None and len(v) != length:
+    if len(v) != length:
         raise ValueError(f"expected a vector of length {length}")
     return v
 
@@ -52,18 +52,23 @@ def matrix_to_json(m: Matrix) -> list[list[str]]:
     return [[scalar_to_str(x) for x in row] for row in m.rows]
 
 
-def matrix_from_json(obj, nrows: int | None = None, ncols: int | None = None) -> Matrix:
+def matrix_from_json(obj, nrows: int, ncols: int) -> Matrix:
     m = Matrix([scalar_from_str(x) for x in row] for row in obj)
-    if nrows is not None and (m.nrows, m.ncols) != (nrows, ncols):
+    if (m.nrows, m.ncols) != (nrows, ncols):
         raise ValueError(f"expected a {nrows}x{ncols} matrix")
     return m
 
 
+# Largest accepted dim, s or vdim.  Parsing allocates s*dim^2 vectors and
+# s*dim vdim x vdim matrices, so sizes are bounded before anything is built.
+MAX_SIZE = 32
+
+
 def _size(obj: Mapping, key: str) -> int:
-    """A declared size: a non-negative JSON integer (booleans refused)."""
+    """A declared size: a JSON integer from 0 to MAX_SIZE (booleans refused)."""
     x = obj[key]
-    if type(x) is not int or x < 0:
-        raise ValueError(f"{key!r} must be a non-negative integer, not {x!r}")
+    if type(x) is not int or not 0 <= x <= MAX_SIZE:
+        raise ValueError(f"{key!r} must be an integer from 0 to {MAX_SIZE}, not {x!r}")
     return x
 
 
@@ -166,24 +171,10 @@ def weight_to_json(w: Weight) -> dict:
 def result_to_json(r: SolveResult) -> dict:
     return {
         "v": vector_to_json(r.v),
-        "phi": [vector_to_json(row) for row in r.weight.phi],
-        "psi": [vector_to_json(row) for row in r.weight.psi],
+        **weight_to_json(r.weight),
         "dichotomy": r.dichotomy,
         "branch_trace": list(r.branch_trace),
     }
-
-
-def result_from_json(obj: Mapping) -> SolveResult:
-    w = Weight(
-        tuple(vector_from_json(row) for row in obj["phi"]),
-        tuple(vector_from_json(row) for row in obj["psi"]),
-    )
-    return SolveResult(
-        vector_from_json(obj["v"]),
-        w,
-        obj["dichotomy"],
-        tuple(obj["branch_trace"]),
-    )
 
 
 def dumps(obj) -> str:

@@ -19,7 +19,6 @@ from .algebra import (
     LieLikeAlgebra,
     bracket,
     derived_algebra,
-    is_solvable,
     restrict_algebra,
     split_codim1,
 )
@@ -28,7 +27,6 @@ from .errors import (
     NonSplitSpectrum,
     NormalizerPreconditionFailed,
     NotInvariant,
-    NotSolvable,
     SetupInvalid,
     TheoremViolation,
 )
@@ -46,6 +44,7 @@ from .linalg import (
     rational_eigenvalues,
     solve_linear,
     unit_vec,
+    vdot,
     vec,
     zero_vec,
 )
@@ -133,9 +132,8 @@ def solve(L: LieLikeAlgebra, M: OrdinaryModule) -> SolveResult:
     """
     if M.vdim < 1:
         raise DimensionMismatch("solve needs a nonzero module")
-    ok, _ = is_solvable(L)
-    if not ok:
-        raise NotSolvable("solve requires a solvable algebra")
+    # an unsolvable L raises NotSolvable from split_codim1 at the first
+    # level where D^2 = L, before any eigen-step
     v, phi, psi, trace = _solve(L, M)
     w = Weight(phi, psi)
     if not verify_weight(M, v, w):
@@ -368,9 +366,7 @@ def trace_vanishing_check(
         coords = A.coords(z)
         if coords is None:
             raise SetupInvalid("bracket image left the ideal A")
-        return sum(
-            (c * val for c, val in zip(coords, w.psi[h])), Fraction(0)
-        )
+        return vdot(coords, w.psi[h])
 
     failures = []
     for h in range(L.s):

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from lielike import serialize
 from lielike.cli import main
-from lielike.serialize import algebra_to_json, dumps, instance_to_json
+from lielike.serialize import MAX_SIZE, algebra_to_json, dumps, instance_to_json
 from lielike import OrdinaryModule, adjoint
 from lielike.linalg import Matrix
 
@@ -113,6 +114,15 @@ class TestViolationExits:
         assert code == 1
         assert not json.loads(out)["ok"]
 
+    @pytest.mark.parametrize("algebra", ["sl2", "sl2_plus_line"])
+    def test_solve_nonsolvable(self, tmp_path, capsys, request, algebra):
+        L = request.getfixturevalue(algebra)
+        path = write_instance(tmp_path, L, adjoint(L))
+        code, out, err = run_captured(capsys, "solve", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert run(capsys, "verify", path)[0] == 1
+
     def test_verify_failure_on_perturbed_module(self, tmp_path, capsys, leib2):
         M = adjoint(leib2)
         rows = [list(r) for r in M.G[0][1].rows]
@@ -174,6 +184,24 @@ class TestInvalidExits:
         assert code == 2
 
 
+class TestEmptyModule:
+    """A module with vdim 0 has no weight vector: one-line error, exit 2."""
+
+    def write(self, tmp_path, leib2):
+        fam = ((Matrix.zeros(0, 0),) * 2,)
+        return write_instance(tmp_path, leib2, OrdinaryModule(leib2, 0, fam, fam))
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "oracle"])
+    def test_rejected(self, tmp_path, capsys, leib2, command):
+        path = self.write(tmp_path, leib2)
+        code, out, err = run_captured(capsys, command, path, "--json")
+        assert (code, out) == (2, "")
+        assert err.endswith(" needs a nonzero module\n") and err.count("\n") == 1
+
+    def test_module_axioms_still_checked(self, tmp_path, capsys, leib2):
+        assert run(capsys, "check-module", self.write(tmp_path, leib2))[0] == 0
+
+
 class TestMalformedScalars:
     """Scalars that are not exact rationals: one-line error, exit code 2."""
 
@@ -223,7 +251,7 @@ class TestMalformedSizes:
     @pytest.mark.parametrize("section, field", [
         ("algebra", "dim"), ("algebra", "s"), ("module", "vdim"),
     ])
-    @pytest.mark.parametrize("value", [2.5, True, "2", -1])
+    @pytest.mark.parametrize("value", [2.5, True, "2", -1, MAX_SIZE + 1])
     def test_rejected(self, tmp_path, capsys, leib2, section, field, value):
         obj = instance_to_json(leib2, adjoint(leib2))
         obj[section][field] = value
@@ -232,6 +260,25 @@ class TestMalformedSizes:
         TestMalformedScalars().assert_rejected(
             run_captured(capsys, "verify", str(path), "--json")
         )
+
+    def test_oversized_rejected_before_allocation(self, tmp_path, capsys, monkeypatch):
+        # s * dim^2 vectors of length dim would be billions of entries, so
+        # the test fails at the first zero vector instead of building them
+        def no_allocation(n):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(serialize, "zero_vec", no_allocation)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 1000, "s": 3}))
+        code, out, err = run_captured(capsys, "check-algebra", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed algebra") and err.count("\n") == 1
+
+    def test_largest_size_accepted(self, tmp_path, capsys):
+        path = tmp_path / "largest.json"
+        path.write_text(json.dumps({"dim": MAX_SIZE, "s": 1}))
+        code, out = run(capsys, "derived", str(path), "--json")
+        assert code == 0 and json.loads(out)["dims"] == [MAX_SIZE, 0]
 
 
 class TestOverlongInput:

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lielike.errors import NonSplitSpectrum, NotInvariant
+from lielike.errors import DimensionMismatch, NonSplitSpectrum, NotInvariant
 from lielike.linalg import (
     Matrix,
     Subspace,
     charpoly,
+    combine,
     det,
     eigenspace,
     inverse,
@@ -17,6 +18,7 @@ from lielike.linalg import (
     poly_eval,
     rank,
     rational_eigenvalues,
+    rref,
     restrict_operator,
     vec,
 )
@@ -95,13 +97,87 @@ def structured_matrices(n_max=9):
     return st.one_of(upper, upper.map(Matrix.transpose), companion, blocks)
 
 
-def subspace_pairs(n=4):
+# half the entries zero, so zero rows, columns and coefficients are common
+zero_heavy = st.one_of(st.just(F(0)), small_fracs)
+
+
+def zero_heavy_vectors(n):
+    return st.lists(zero_heavy, min_size=n, max_size=n).map(tuple)
+
+
+def subspace_pairs(n=4, entries=small_fracs):
     rows = st.lists(
-        st.lists(small_fracs, min_size=n, max_size=n), min_size=0, max_size=n
+        st.lists(entries, min_size=n, max_size=n), min_size=0, max_size=n
     )
     return st.tuples(rows, rows).map(
         lambda ab: (Subspace.span(n, ab[0]), Subspace.span(n, ab[1]))
     )
+
+
+def in_span(S, v):
+    """Reference membership test: adding v to the basis keeps the rank."""
+    return len(rref(list(S.basis) + [tuple(v)])[0]) == S.dim
+
+
+class TestCombine:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(zero_heavy, zero_heavy_vectors(n)), max_size=6),
+    )))
+    def test_equals_naive_sum(self, case):
+        n, terms = case
+        naive = tuple(sum((c * v[j] for c, v in terms), F(0)) for j in range(n))
+        out = combine(terms, n)
+        assert out == naive
+        assert all(type(x) is Fraction for x in out)
+
+    def test_integer_coefficients(self):
+        assert combine([(2, vec([1, 0])), (0, vec([5, 5])), (-1, vec([0, 3]))], 2) == (
+            F(2), F(-3))
+
+
+def textbook_product(a, b):
+    return [
+        [sum((a.rows[i][k] * b.rows[k][j] for k in range(a.ncols)), F(0))
+         for j in range(b.ncols)]
+        for i in range(a.nrows)
+    ]
+
+
+def zero_heavy_matrix(nrows, ncols):
+    return st.lists(zero_heavy_vectors(ncols), min_size=nrows, max_size=nrows).map(
+        Matrix
+    )
+
+
+class TestMatmul:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)).flatmap(
+            lambda d: st.tuples(zero_heavy_matrix(d[0], d[1]),
+                                zero_heavy_matrix(d[1], d[2]))
+        )
+    )
+    def test_equals_triple_sum(self, ab):
+        a, b = ab
+        product = a @ b
+        assert (product.nrows, product.ncols) == (a.nrows, b.ncols)
+        assert product == Matrix(textbook_product(a, b))
+
+    @pytest.mark.parametrize("a, b", [
+        ([[1, 2, 3]], [[4], [5], [6]]),  # 1 x n by n x 1
+        ([[4], [5], [6]], [[1, 2, 3]]),  # n x 1 by 1 x n
+        ([[0, 0], [1, 2]], [[3, 0], [4, 0]]),  # zero row, zero column
+        ([[0, 0], [0, 0]], [[1, 2], [3, 4]]),
+    ])
+    def test_shapes(self, a, b):
+        a, b = mat(a), mat(b)
+        assert a @ b == Matrix(textbook_product(a, b))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            mat([[1, 2]]) @ mat([[1, 2]])
 
 
 class TestKernel:
@@ -173,11 +249,35 @@ class TestSubspace:
         assert rebuilt == both and rebuilt.basis == both.basis
 
     @settings(max_examples=60, deadline=None)
-    @given(subspace_pairs())
+    @given(st.one_of(subspace_pairs(), subspace_pairs(entries=zero_heavy)))
     def test_intersection_members(self, pair):
         A, B = pair
         for b in A.intersect(B).basis:
             assert A.contains(b) and B.contains(b)
+            assert in_span(A, b) and in_span(B, b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        subspace_pairs(entries=zero_heavy),
+        zero_heavy_vectors(4),
+        st.lists(zero_heavy, min_size=4, max_size=4),
+    )
+    def test_coords_agree_with_rank_test(self, pair, v, weights):
+        S, _ = pair
+
+        def naive_combination(coeffs):
+            return tuple(
+                sum((c * b[j] for c, b in zip(coeffs, S.basis)), F(0))
+                for j in range(4)
+            )
+
+        # an arbitrary vector, then one that is always a member
+        for w in (v, naive_combination(weights)):
+            coords = S.coords(w)
+            assert S.contains(w) == in_span(S, w) == (coords is not None)
+            if coords is not None:
+                assert len(coords) == S.dim
+                assert naive_combination(coords) == w
 
 
 class TestEigen:

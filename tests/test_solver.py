@@ -18,9 +18,11 @@ from lielike import (
     check_dichotomy,
     check_module,
     congruence_check,
+    is_solvable,
     normalizer_invariance_check,
     oracle_solve,
     solve,
+    split_codim1,
     split_setup,
     trace_vanishing_check,
     verify_weight,
@@ -105,21 +107,19 @@ class TestSolveExamples:
         with pytest.raises(DimensionMismatch):
             solve(leib2, M)
 
-    def test_rejects_nonsolvable(self):
-        L = LieLikeAlgebra.from_constants(
-            3,
-            1,
-            {
-                (0, 0, 1): [0, 0, 1],
-                (0, 1, 0): [0, 0, -1],
-                (0, 2, 0): [2, 0, 0],
-                (0, 0, 2): [-2, 0, 0],
-                (0, 2, 1): [0, -2, 0],
-                (0, 1, 2): [0, 2, 0],
-            },
-        )
+    def test_rejects_nonsolvable(self, sl2):
         with pytest.raises(NotSolvable):
-            solve(L, adjoint(L))
+            solve(sl2, adjoint(sl2))
+
+    def test_rejects_nonsolvable_one_level_down(self, sl2_plus_line):
+        L = sl2_plus_line
+        M = adjoint(L)
+        assert check_algebra(L) == [] and check_module(M) == []
+        assert not is_solvable(L)[0]
+        A, x = split_codim1(L)  # the top level splits off the line
+        assert A.dim == 3 and x == vec([0, 0, 0, 1])
+        with pytest.raises(NotSolvable):
+            solve(L, M)
 
     def test_irrational_spectrum_reported(self, abelian_irrational):
         L, M = abelian_irrational
