@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import serialize
-from .algebra import check_algebra, derived_series, is_solvable
+from .algebra import check_algebra, derived_series
 from .errors import DimensionMismatch, LieLikeError, NonSplitSpectrum, NotSolvable
 from .generate import CONSTRUCTIONS, GeneratorSpec, generate
 from .modules import adjoint, check_module, plus_annihilator
@@ -109,7 +109,8 @@ def cmd_check_module(args) -> int:
 def cmd_derived(args) -> int:
     L = _load_algebra(args.file)
     series = derived_series(L)
-    solvable, depth = is_solvable(L)
+    # what is_solvable(L) returns, read off the one series
+    solvable, depth = series[-1].dim == 0, len(series)
     payload = {
         "dims": [sp.dim for sp in series],
         "solvable": solvable,
@@ -178,6 +179,8 @@ def cmd_oracle(args) -> int:
     L, M, _ = _load_instance(args.file)
     try:
         entries = oracle_solve(L, M)
+    except NotSolvable as exc:
+        return _fail(exc, EXIT_VIOLATION)
     except (NonSplitSpectrum, DimensionMismatch) as exc:
         return _fail(exc, EXIT_INVALID)
     payload = {

@@ -80,6 +80,48 @@ def combine(terms: Iterable[tuple], n: int) -> Vector:
     return tuple(acc)
 
 
+# The axiom checks scale rational data by a common denominator and compare
+# rows of int; these helpers stay private to them, and every residual they
+# report is still built as an exact Matrix or Vector.
+
+def _common_denominator(values: Iterable) -> int:
+    """The lcm of the denominators (1 for no values)."""
+    return lcm(*{x.denominator for x in values})
+
+
+def _scaled_ints(values: Iterable, d: int) -> tuple[int, ...]:
+    """d*x for each x; d must be a multiple of every denominator."""
+    return tuple(x.numerator * (d // x.denominator) for x in values)
+
+
+def _sparse(values: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """The (index, entry) pairs of the nonzero entries."""
+    return tuple((j, x) for j, x in enumerate(values) if x)
+
+
+# Dense integer results are lists, not tuples: the checks build many of a
+# few lengths, and CPython keeps up to 2000 freed tuples of each small
+# length alive for reuse, which would hold on to that memory.
+
+def _int_combine(terms: Iterable[tuple], n: int) -> list[int]:
+    """Sum of c*v over (c, v) pairs, v a sparse integer vector of length n."""
+    acc = [0] * n
+    for c, v in terms:
+        if c:
+            for j, x in v:
+                acc[j] += c * x
+    return acc
+
+
+def _int_matmul(a: Sequence, b: Sequence, n: int) -> list[int]:
+    """Row-major entries of AB for integer matrices given as sparse rows,
+    B with n columns."""
+    out: list[int] = []
+    for row in a:
+        out.extend(_int_combine(((x, b[l]) for l, x in row), n))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------

@@ -15,12 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import LieLikeAlgebra
+from .algebra import LieLikeAlgebra, _integer_constants
 from .errors import DimensionMismatch
 from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _common_denominator,
+    _int_combine,
+    _int_matmul,
+    _scaled_ints,
+    _sparse,
     combine,
     inverse,
     is_invariant,
@@ -80,34 +85,118 @@ class Report:
     failures: tuple[str, ...] = ()
 
 
+class _ProductTable:
+    """Integer images of one module's operators, for the life of one check.
+
+    Every operator X is held as X' = D*X, D the lcm of all operator
+    denominators, and every structure constant w as E*w, E the lcm of
+    theirs; equal operators and equal constants share one index.  Products
+    X'Y' (D^2 XY) and combinations D * sum_l (E w_l) X'_l (D^2 E sum_l w_l X_l)
+    are computed on first use and kept.
+    """
+
+    def __init__(self, M: OrdinaryModule):
+        ops = [op for fam in (M.F, M.G) for fk in fam for op in fk]
+        self.d = d = _common_denominator(x for op in ops for r in op.rows for x in r)
+        self.e, C = _integer_constants(M.algebra)
+        self.rows: list[tuple] = []  # sparse rows of each distinct X'
+        self.flat: list[tuple] = []  # sparse row-major entries of each X'
+        op_ids: dict[tuple, int] = {}
+
+        def op_index(op: Matrix) -> int:
+            key = tuple(_scaled_ints(r, d) for r in op.rows)
+            if key not in op_ids:
+                op_ids[key] = len(self.rows)
+                self.rows.append(tuple(_sparse(r) for r in key))
+                self.flat.append(_sparse(x for r in key for x in r))
+            return op_ids[key]
+
+        # ops[0][k][i] indexes F[k][i], ops[1][k][i] indexes G[k][i]
+        self.ops = tuple(
+            tuple(tuple(op_index(op) for op in fk) for fk in fam)
+            for fam in (M.F, M.G))
+        w_ids: dict[tuple, int] = {}
+        self.c = tuple(
+            tuple(tuple(w_ids.setdefault(w, len(w_ids)) for w in ti) for ti in tk)
+            for tk in C)
+        self.w = list(w_ids)  # each distinct E*w, by index
+        self.m = M.vdim
+        self._products: dict[tuple[int, int], list[int]] = {}
+        self._combos: dict[tuple[int, int, int], list[int]] = {}
+
+    def product(self, x: int, y: int) -> list[int]:
+        """X'Y', row-major."""
+        key = (x, y)
+        if key not in self._products:
+            self._products[key] = _int_matmul(self.rows[x], self.rows[y], self.m)
+        return self._products[key]
+
+    def commutator(self, x: int, y: int) -> list[int]:
+        """E * (X'Y' - Y'X'), on the scale of `combo`."""
+        e = self.e
+        return [e * (a - b) for a, b in zip(self.product(x, y), self.product(y, x))]
+
+    def combo(self, fam: int, h: int, w: int) -> list[int]:
+        """D * sum_l (E w_l) X'_l over X'_l = ops[fam][h][l], row-major."""
+        key = (fam, h, w)
+        if key not in self._combos:
+            d, flat = self.d, self.flat
+            terms = ((d * wl, flat[x]) for wl, x in zip(self.w[w], self.ops[fam][h]))
+            self._combos[key] = _int_combine(terms, self.m * self.m)
+        return self._combos[key]
+
+
+# the module axioms in the order check_module lists them at one (k, h, i, j)
+_AXIOMS = ("eq-1.3", "eq-1.4", "eq-1.5", "eq-1.5", "eq-1.6a", "eq-1.6b")
+
+
+def _residuals(M: OrdinaryModule, k: int, h: int, i: int, j: int) -> tuple:
+    """The exact residual of each of _AXIOMS at (k, h, i, j), deferred."""
+    F, G, w = M.F, M.G, M.algebra.c[k][i][j]
+    return (
+        lambda: M.f(h, w) - (F[h][i] @ F[k][j] - F[k][j] @ F[h][i]),
+        lambda: M.g(h, w) - (G[h][i] @ F[k][j] - F[k][j] @ G[h][i]),
+        lambda: G[k][i] @ G[h][j] - G[h][i] @ F[k][j],
+        lambda: G[h][i] @ F[k][j] - G[k][i] @ F[h][j],
+        lambda: F[k][i] @ F[h][j] - F[h][i] @ F[k][j],
+        lambda: F[k][i] @ G[h][j] - F[h][i] @ G[k][j],
+    )
+
+
 def check_module(M: OrdinaryModule) -> list[ModuleViolation]:
-    """All axiom violations on basis pairs; empty iff M is a module."""
+    """All axiom violations on basis pairs; empty iff M is a module.
+
+    Each axiom is compared as a row of int over one _ProductTable; only
+    a failing axiom gets its exact residual.
+    """
     L = M.algebra
     n, s = L.dim, L.s
-    F, G = M.F, M.G
+    t = _ProductTable(M)
+    (F, G), c, P = t.ops, t.c, t.product
     out = []
-
-    def record(tag, k, h, i, j, residual):
-        if not residual.is_zero():
-            out.append(ModuleViolation(tag, (k, h, i, j), residual))
-
     for k in range(s):
         for h in range(s):
             for i in range(n):
                 for j in range(n):
-                    w = L.c[k][i][j]
-                    # each shared by two axioms; computed once
-                    fhi_fkj = F[h][i] @ F[k][j]
-                    ghi_fkj = G[h][i] @ F[k][j]
-                    record("eq-1.3", k, h, i, j,
-                           M.f(h, w) - (fhi_fkj - F[k][j] @ F[h][i]))
-                    record("eq-1.4", k, h, i, j,
-                           M.g(h, w) - (ghi_fkj - F[k][j] @ G[h][i]))
-                    record("eq-1.5", k, h, i, j, G[k][i] @ G[h][j] - ghi_fkj)
-                    record("eq-1.5", k, h, i, j, ghi_fkj - G[k][i] @ F[h][j])
-                    record("eq-1.6a", k, h, i, j, F[k][i] @ F[h][j] - fhi_fkj)
-                    record("eq-1.6b", k, h, i, j,
-                           F[k][i] @ G[h][j] - F[h][i] @ G[k][j])
+                    # each shared by two axioms
+                    fhi_fkj = P(F[h][i], F[k][j])
+                    ghi_fkj = P(G[h][i], F[k][j])
+                    holds = (
+                        t.combo(0, h, c[k][i][j]) == t.commutator(F[h][i], F[k][j]),
+                        t.combo(1, h, c[k][i][j]) == t.commutator(G[h][i], F[k][j]),
+                        P(G[k][i], G[h][j]) == ghi_fkj,
+                        ghi_fkj == P(G[k][i], F[h][j]),
+                        P(F[k][i], F[h][j]) == fhi_fkj,
+                        P(F[k][i], G[h][j]) == P(F[h][i], G[k][j]),
+                    )
+                    if all(holds):
+                        continue
+                    residuals = _residuals(M, k, h, i, j)
+                    out.extend(
+                        ModuleViolation(axiom, (k, h, i, j), residual())
+                        for axiom, residual, ok in zip(_AXIOMS, residuals, holds)
+                        if not ok
+                    )
     return out
 
 
@@ -119,15 +208,18 @@ def check_derived_identities(M: OrdinaryModule) -> Report:
     rather than raised.
     """
     L = M.algebra
+    if L.s < 2:  # the identities pair two distinct indices
+        return Report(True)
+    t = _ProductTable(M)
     failures = []
     for k in range(L.s):
         for h in range(k + 1, L.s):
             for i in range(L.dim):
                 for j in range(L.dim):
-                    wk, wh = L.c[k][i][j], L.c[h][i][j]
-                    if not (M.f(h, wk) - M.f(k, wh)).is_zero():
+                    wk, wh = t.c[k][i][j], t.c[h][i][j]
+                    if t.combo(0, h, wk) != t.combo(0, k, wh):
                         failures.append(f"f-swap at (k={k}, h={h}, i={i}, j={j})")
-                    if not (M.g(h, wk) - M.g(k, wh)).is_zero():
+                    if t.combo(1, h, wk) != t.combo(1, k, wh):
                         failures.append(f"g-swap at (k={k}, h={h}, i={i}, j={j})")
     return Report(not failures, tuple(failures))
 

@@ -19,6 +19,7 @@ from .algebra import (
     LieLikeAlgebra,
     bracket,
     derived_algebra,
+    is_solvable,
     restrict_algebra,
     split_codim1,
 )
@@ -27,6 +28,7 @@ from .errors import (
     NonSplitSpectrum,
     NormalizerPreconditionFailed,
     NotInvariant,
+    NotSolvable,
     SetupInvalid,
     TheoremViolation,
 )
@@ -410,6 +412,8 @@ def oracle_solve(
     """Every maximal joint weight space, by exhaustive eigenspace
     intersection over the full operator family (all f's by (k, i), then all
     g's), pruning empty intersections.  Independent of the solver's logic.
+    When no space survives, raises NonSplitSpectrum if some operator has
+    an irrational spectrum, else NotSolvable if the algebra is not solvable.
     """
     n, s, m = L.dim, L.s, M.vdim
     if m < 1:
@@ -437,6 +441,8 @@ def oracle_solve(
     if not fronts:
         if saw_nonsplit:
             raise NonSplitSpectrum("some operator has an irrational spectrum")
+        if not is_solvable(L)[0]:
+            raise NotSolvable("no joint weight space: the algebra is not solvable")
         raise TheoremViolation("no joint weight space found on a valid instance")
     results = []
     for space, assignment in fronts:

@@ -1,0 +1,107 @@
+"""Hypothesis strategies shared by the axiom-check tests.
+
+The instances carry rational data, so the common denominators D (of the
+operators) and E (of the structure constants) exceed 1, and besides the
+generator's constructions they include Lie algebras whose operators do not
+multiply to zero.  Perturbed instances break the axioms at several index
+tuples at once.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import strategies as st
+
+from lielike import (
+    CONSTRUCTIONS,
+    GeneratorSpec,
+    LieLikeAlgebra,
+    Matrix,
+    OrdinaryModule,
+    adjoint,
+    generate,
+)
+from lielike.generate import transform_instance
+
+# brackets (i, j) -> <e_i, e_j> of Lie algebras that are not nilpotent:
+# unlike the two-step nilpotent algebras of every generator construction,
+# their adjoint operators have nonzero products
+AFF1 = {(1, 0): [1, 0], (0, 1): [-1, 0]}
+SL2 = {
+    (0, 1): [0, 0, 1], (1, 0): [0, 0, -1],
+    (2, 0): [2, 0, 0], (0, 2): [-2, 0, 0],
+    (2, 1): [0, -2, 0], (1, 2): [0, 2, 0],
+}
+
+scalars = st.sampled_from([F(1), F(2), F(-1, 7), F(3, 5)])
+offsets = st.sampled_from([F(1, 7), F(-3, 7), F(2, 5), F(1)])
+
+
+def bundle(brackets, ts):
+    """The brackets t_k <.,.> for t_k in ts: a valid Lie-like algebra."""
+    n = len(next(iter(brackets.values())))
+    return LieLikeAlgebra.from_constants(n, len(ts), {
+        (k, i, j): [t * x for x in v]
+        for k, t in enumerate(ts) for (i, j), v in brackets.items()})
+
+
+def diagonal(entries):
+    n = len(entries)
+    return Matrix([[x if i == j else 0 for j in range(n)]
+                   for i, x in enumerate(entries)])
+
+
+@st.composite
+def valid_instances(draw):
+    """A valid (L, M), written in a random rational diagonal basis."""
+    if draw(st.booleans()):
+        inst = generate(draw(st.builds(
+            GeneratorSpec, st.sampled_from(CONSTRUCTIONS), st.integers(1, 3),
+            st.integers(1, 3), st.integers(0, 2**16))))
+        L, M = inst.algebra, inst.module
+    else:
+        ts = draw(st.lists(scalars, min_size=1, max_size=3))
+        L = bundle(draw(st.sampled_from([AFF1, SL2])), ts)
+        M = adjoint(L)
+    P = diagonal(draw(st.lists(scalars, min_size=L.dim, max_size=L.dim)))
+    return transform_instance(L, M, P)
+
+
+def shifted_algebra(L, shifts):
+    """L with the structure constants ((k, i, j, a), delta) shifted."""
+    c = [[[list(v) for v in row] for row in tk] for tk in L.c]
+    for (k, i, j, a), delta in shifts:
+        c[k][i][j][a] += delta
+    return LieLikeAlgebra(L.dim, L.s, tuple(
+        tuple(tuple(tuple(F(x) for x in v) for v in row) for row in tk)
+        for tk in c))
+
+
+def shifted(M, op_shifts=(), c_shifts=()):
+    """M with F/G entries ((fam, k, i, r, col), delta) shifted, over its
+    algebra with c_shifts applied."""
+    fams = {"F": [[[list(r) for r in op.rows] for op in fk] for fk in M.F],
+            "G": [[[list(r) for r in op.rows] for op in gk] for gk in M.G]}
+    for (fam, k, i, r, col), delta in op_shifts:
+        fams[fam][k][i][r][col] += delta
+    ops = {name: tuple(tuple(Matrix(op) for op in fk) for fk in fam)
+           for name, fam in fams.items()}
+    return OrdinaryModule(shifted_algebra(M.algebra, c_shifts), M.vdim,
+                          ops["F"], ops["G"])
+
+
+@st.composite
+def perturbed_modules(draw):
+    """A valid instance's module with up to three operator entries and up
+    to two structure constants shifted (its algebra is M.algebra)."""
+    _, M = draw(valid_instances())
+    n, s, m = M.algebra.dim, M.algebra.s, M.vdim
+
+    def below(bound):
+        return st.integers(0, bound - 1)
+
+    op_shifts = draw(st.lists(st.tuples(
+        st.tuples(st.sampled_from("FG"), below(s), below(n), below(m), below(m)),
+        offsets), max_size=3))
+    c_shifts = draw(st.lists(st.tuples(
+        st.tuples(below(s), below(n), below(n), below(n)), offsets), max_size=3))
+    return shifted(M, op_shifts, c_shifts)

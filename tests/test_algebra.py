@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from lielike import (
     LieLikeAlgebra,
@@ -16,7 +17,9 @@ from lielike import (
     restrict_algebra,
     split_codim1,
 )
-from lielike.linalg import vec
+from lielike.algebra import AlgebraViolation
+from lielike.linalg import is_zero_vec, vadd, vec
+from strategies import AFF1, SL2, bundle, perturbed_modules, shifted_algebra
 
 F = Fraction
 
@@ -65,6 +68,70 @@ class TestCheckAlgebra:
         )
         violations = check_algebra(bad)
         assert any(v.identity == "index-swap" for v in violations)
+
+
+def naive_check_algebra(L):
+    """Reference: bracket() at every basis triple, residuals as Fractions."""
+    violations = []
+    n, s, c = L.dim, L.s, L.c
+    basis = L.basis()
+    for k in range(s):
+        for h in range(s):
+            for i in range(n):
+                for j in range(n):
+                    inner = c[k][i][j]
+                    for l in range(n):
+                        lhs = bracket(L, inner, basis[l], h)
+                        rhs = vadd(
+                            bracket(L, basis[i], c[h][j][l], k),
+                            bracket(L, c[h][i][l], basis[j], k),
+                        )
+                        res = tuple(a - b for a, b in zip(lhs, rhs))
+                        if not is_zero_vec(res):
+                            violations.append(
+                                AlgebraViolation("jacobi-like", (i, j, l, k, h), res))
+                        if h < k:
+                            other = bracket(L, c[h][i][j], basis[l], k)
+                            res2 = tuple(a - b for a, b in zip(lhs, other))
+                            if not is_zero_vec(res2):
+                                violations.append(
+                                    AlgebraViolation("index-swap", (i, j, l, k, h), res2))
+    return violations
+
+
+class TestIntegerCheckMatchesBracketLoop:
+    """check_algebra compares integer rows through the multiplication maps;
+    its violations must equal the bracket loop's, residuals and order
+    included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(perturbed_modules())
+    def test_generated_and_perturbed(self, M):
+        assert check_algebra(M.algebra) == naive_check_algebra(M.algebra)
+
+    def test_rational_lie_bundles_pass(self):
+        for brackets in (AFF1, SL2):
+            L = bundle(brackets, [F(-1, 7), F(3, 5)])
+            assert check_algebra(L) == [] == naive_check_algebra(L)
+
+    def test_rational_shift_both_identities(self, nt3):
+        bad = shifted_algebra(nt3, [((0, 2, 2, 2), F(1, 7)), ((1, 0, 2, 1), F(-2, 7))])
+        violations = check_algebra(bad)
+        assert {v.identity for v in violations} == {"jacobi-like", "index-swap"}
+        assert violations == naive_check_algebra(bad)
+
+    def test_single_index(self, leib2):
+        bad = shifted_algebra(leib2, [((0, 1, 1, 1), F(1, 7))])
+        assert check_algebra(bad) == naive_check_algebra(bad) != []
+
+    def test_dimension_one(self):
+        bad = LieLikeAlgebra.from_constants(1, 2, {(1, 0, 0): [F(1, 7)]})
+        violations = check_algebra(bad)
+        assert violations == naive_check_algebra(bad) != []
+        assert violations[0].residual == vec([F(-1, 49)])
+
+    def test_empty_algebra(self):
+        assert check_algebra(LieLikeAlgebra(0, 0, ())) == []
 
 
 class TestIsTrivial:

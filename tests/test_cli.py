@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from lielike import serialize
+from lielike import algebra as algebra_module
+from lielike import cli, serialize
 from lielike.cli import main
 from lielike.serialize import MAX_SIZE, algebra_to_json, dumps, instance_to_json
 from lielike import OrdinaryModule, adjoint
@@ -79,6 +80,30 @@ class TestHappyPaths:
         assert code == 0
         assert json.loads(out)["dims"] == [2, 1, 0]
 
+    # payloads recorded when `derived` still ran is_solvable on its own
+    @pytest.mark.parametrize("algebra, expected", [
+        ("sl2", '{"depth":1,"dims":[3],"series":[[["1","0","0"],["0","1","0"],'
+                '["0","0","1"]]],"solvable":false}'),
+        ("nt3", '{"depth":3,"dims":[3,2,0],"series":[[["1","0","0"],["0","1","0"],'
+                '["0","0","1"]],[["1","0","0"],["0","1","0"]],[]],"solvable":true}'),
+    ])
+    def test_derived_computes_the_series_once(
+        self, tmp_path, capsys, monkeypatch, request, algebra, expected
+    ):
+        calls = []
+        original = algebra_module.derived_series
+
+        def counted(L):
+            calls.append(L)
+            return original(L)
+
+        monkeypatch.setattr(algebra_module, "derived_series", counted)
+        monkeypatch.setattr(cli, "derived_series", counted)
+        path = write_algebra(tmp_path, request.getfixturevalue(algebra))
+        code, out = run(capsys, "derived", path, "--json")
+        assert (code, out) == (0, expected + "\n")
+        assert len(calls) == 1
+
     def test_annihilator(self, tmp_path, capsys, nt3):
         path = write_instance(tmp_path, nt3, adjoint(nt3))
         code, out = run(capsys, "annihilator", path, "--json")
@@ -122,6 +147,13 @@ class TestViolationExits:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert run(capsys, "verify", path)[0] == 1
+
+    def test_oracle_nonsolvable(self, tmp_path, capsys, sl2):
+        path = write_instance(tmp_path, sl2, adjoint(sl2))
+        code, out, err = run_captured(capsys, "oracle", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not solvable" in err
 
     def test_verify_failure_on_perturbed_module(self, tmp_path, capsys, leib2):
         M = adjoint(leib2)

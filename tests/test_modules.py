@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from lielike import (
     LieLikeAlgebra,
     Matrix,
+    OrdinaryModule,
     Subspace,
     adjoint,
     change_basis,
@@ -17,7 +19,10 @@ from lielike import (
     restrict_algebra,
     restrict_module,
 )
+from lielike.generate import transform_instance
 from lielike.linalg import vec
+from lielike.modules import ModuleViolation, Report
+from strategies import diagonal, perturbed_modules, shifted
 
 F = Fraction
 
@@ -78,6 +83,106 @@ class TestCheckModule:
     def test_mixed_index_axioms_checked(self, nt3):
         bad = perturbed(adjoint(nt3), "F", 1, 2, 0, 0)
         assert check_module(bad)
+
+
+def naive_check_module(M):
+    """Reference: every residual built as a Fraction Matrix, then tested."""
+    L = M.algebra
+    F_, G_ = M.F, M.G
+    out = []
+
+    def record(tag, k, h, i, j, residual):
+        if not residual.is_zero():
+            out.append(ModuleViolation(tag, (k, h, i, j), residual))
+
+    for k in range(L.s):
+        for h in range(L.s):
+            for i in range(L.dim):
+                for j in range(L.dim):
+                    w = L.c[k][i][j]
+                    fhi_fkj = F_[h][i] @ F_[k][j]
+                    ghi_fkj = G_[h][i] @ F_[k][j]
+                    record("eq-1.3", k, h, i, j,
+                           M.f(h, w) - (fhi_fkj - F_[k][j] @ F_[h][i]))
+                    record("eq-1.4", k, h, i, j,
+                           M.g(h, w) - (ghi_fkj - F_[k][j] @ G_[h][i]))
+                    record("eq-1.5", k, h, i, j, G_[k][i] @ G_[h][j] - ghi_fkj)
+                    record("eq-1.5", k, h, i, j, ghi_fkj - G_[k][i] @ F_[h][j])
+                    record("eq-1.6a", k, h, i, j, F_[k][i] @ F_[h][j] - fhi_fkj)
+                    record("eq-1.6b", k, h, i, j,
+                           F_[k][i] @ G_[h][j] - F_[h][i] @ G_[k][j])
+    return out
+
+
+def naive_derived_identities(M):
+    L = M.algebra
+    failures = []
+    for k in range(L.s):
+        for h in range(k + 1, L.s):
+            for i in range(L.dim):
+                for j in range(L.dim):
+                    wk, wh = L.c[k][i][j], L.c[h][i][j]
+                    if not (M.f(h, wk) - M.f(k, wh)).is_zero():
+                        failures.append(f"f-swap at (k={k}, h={h}, i={i}, j={j})")
+                    if not (M.g(h, wk) - M.g(k, wh)).is_zero():
+                        failures.append(f"g-swap at (k={k}, h={h}, i={i}, j={j})")
+    return Report(not failures, tuple(failures))
+
+
+class TestIntegerChecksMatchFractionLoops:
+    """check_module and check_derived_identities compare integer rows; the
+    violation lists must equal the Fraction loops', residuals and order
+    included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(perturbed_modules())
+    def test_generated_and_perturbed(self, M):
+        assert check_module(M) == naive_check_module(M)
+        assert check_derived_identities(M) == naive_derived_identities(M)
+
+    def test_rational_basis_with_nonzero_products(self, aff2):
+        # D = E = 7 and [f(e_1), f(e_2)] != 0: every side of eq-1.3 must be
+        # scaled for the check to pass
+        L, M = transform_instance(aff2, adjoint(aff2), diagonal([1, 7]))
+        assert M.F[0][1].rows[0][0] == L.c[0][1][0][0] == F(1, 7)
+        assert check_module(M) == [] == naive_check_module(M)
+        bad = shifted(M, c_shifts=[((0, 1, 0, 0), F(1, 7))])
+        assert check_module(bad) == naive_check_module(bad) != []
+
+    def test_rational_operator_shift(self, nt3):
+        M = shifted(adjoint(nt3), [(("F", 1, 2, 0, 0), F(1, 7)),
+                                   (("G", 0, 2, 1, 2), F(-2, 7))])
+        violations = check_module(M)
+        assert len({v.witness for v in violations}) > 1
+        assert violations == naive_check_module(M)
+
+    def test_rational_constant_shift(self, nt3):
+        M = shifted(adjoint(nt3), c_shifts=[((1, 2, 2, 2), F(1, 7))])
+        assert check_module(M) == naive_check_module(M) != []
+        derived = check_derived_identities(M)
+        assert derived == naive_derived_identities(M) and not derived.ok
+
+    def test_vdim_one(self, leib2):
+        zero = Matrix([[0]])
+        fam = ((zero, zero),)
+        M = OrdinaryModule(leib2, 1, fam, fam)
+        assert check_module(M) == []
+        bad = shifted(M, [(("G", 0, 1, 0, 0), F(1, 7))])
+        assert check_module(bad) == naive_check_module(bad) != []
+
+    def test_all_zero_module(self, nt3):
+        for m in (0, 1, 3):
+            zero = Matrix.zeros(m, m)
+            fam = tuple(tuple(zero for _ in range(3)) for _ in range(2))
+            M = OrdinaryModule(nt3, m, fam, fam)
+            assert check_module(M) == []
+            assert check_derived_identities(M).ok
+
+    def test_single_index(self, leib2):
+        M = shifted(adjoint(leib2), [(("F", 0, 1, 0, 1), F(3, 5))],
+                    [((0, 1, 1, 1), F(1, 7))])
+        assert check_module(M) == naive_check_module(M) != []
+        assert check_derived_identities(M) == Report(True)
 
 
 class TestDerivedIdentities:
