@@ -4,7 +4,9 @@ Commands operate on JSON files: either a combined instance file
 {"algebra": ..., "module": ...} or, where only the algebra is needed, a
 bare algebra object.  Output is a human-readable table by default and
 canonical JSON with --json.  `verify` exits 0 on success, 1 when a check
-fails, 2 on malformed input or a non-rational spectrum.
+fails, 2 on malformed input or a non-rational spectrum.  `solve` and
+`oracle` check the algebra and module axioms first; every error they
+report is one line on stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ import sys
 
 from . import serialize
 from .algebra import check_algebra, derived_series
-from .errors import DimensionMismatch, LieLikeError, NonSplitSpectrum, NotSolvable
+from .errors import (
+    DimensionMismatch,
+    LieLikeError,
+    NonSplitSpectrum,
+    NotSolvable,
+    TheoremViolation,
+)
 from .generate import CONSTRUCTIONS, GeneratorSpec, generate
 from .modules import adjoint, check_module, plus_annihilator
 from .solver import oracle_solve, solve
@@ -51,9 +59,22 @@ def _load_instance(path: str):
         raise SystemExit(EXIT_INVALID)
 
 
-def _fail(exc: Exception, code: int) -> int:
-    print(f"error: {exc}", file=sys.stderr)
+def _fail(problem, code: int) -> int:
+    print(f"error: {problem}", file=sys.stderr)
     return code
+
+
+def _first_violation(L, M) -> str | None:
+    """The first failing algebra identity or module axiom, with its witness."""
+    violations = check_algebra(L)
+    if violations:
+        v = violations[0]
+        return f"algebra identity {v.identity} fails at (i,j,l,k,h)={v.witness}"
+    mod_violations = check_module(M)
+    if mod_violations:
+        v = mod_violations[0]
+        return f"module axiom {v.axiom} fails at (k,h,i,j)={v.witness}"
+    return None
 
 
 def _emit(payload: dict, as_json: bool, lines) -> None:
@@ -157,9 +178,12 @@ def cmd_adjoint(args) -> int:
 
 def cmd_solve(args) -> int:
     L, M, _ = _load_instance(args.file)
+    violation = _first_violation(L, M)
+    if violation:
+        return _fail(violation, EXIT_VIOLATION)
     try:
         result = solve(L, M)
-    except NotSolvable as exc:
+    except (NotSolvable, TheoremViolation) as exc:
         return _fail(exc, EXIT_VIOLATION)
     except (NonSplitSpectrum, DimensionMismatch) as exc:
         return _fail(exc, EXIT_INVALID)
@@ -177,9 +201,12 @@ def cmd_solve(args) -> int:
 
 def cmd_oracle(args) -> int:
     L, M, _ = _load_instance(args.file)
+    violation = _first_violation(L, M)
+    if violation:
+        return _fail(violation, EXIT_VIOLATION)
     try:
         entries = oracle_solve(L, M)
-    except NotSolvable as exc:
+    except (NotSolvable, TheoremViolation) as exc:
         return _fail(exc, EXIT_VIOLATION)
     except (NonSplitSpectrum, DimensionMismatch) as exc:
         return _fail(exc, EXIT_INVALID)

@@ -190,15 +190,6 @@ class Matrix:
             raise DimensionMismatch("matrix difference shape mismatch")
         return Matrix([vsub(a, b) for a, b in zip(self.rows, other.rows)])
 
-    def scale(self, c) -> "Matrix":
-        return Matrix([vscale(c, r) for r in self.rows])
-
-    def transpose(self) -> "Matrix":
-        return Matrix([self.column(j) for j in range(self.ncols)])
-
-    def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.rows)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.rows == other.rows
 
@@ -354,21 +345,6 @@ def kernel(m: Matrix) -> Subspace:
     return Subspace.span(ncols, basis)
 
 
-def rank(m: Matrix) -> int:
-    return len(rref(m.rows)[0])
-
-
-def solve_linear(m: Matrix, rhs: Vector) -> Vector:
-    """Unique solution of Mv = rhs; raises Singular when M is not invertible."""
-    if m.nrows != m.ncols or m.nrows != len(rhs):
-        raise DimensionMismatch("solve_linear expects a square system")
-    aug = [list(row) + [b] for row, b in zip(m.rows, rhs)]
-    rows, pivots = rref([tuple(r) for r in aug])
-    if pivots != list(range(m.ncols)):
-        raise Singular("matrix is singular")
-    return tuple(row[-1] for row in rows)
-
-
 def inverse(m: Matrix) -> Matrix:
     if m.nrows != m.ncols:
         raise DimensionMismatch("inverse of a non-square matrix")
@@ -383,31 +359,6 @@ def inverse(m: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 # characteristic polynomial and rational eigenvalues
 # ---------------------------------------------------------------------------
-
-def det(m: Matrix) -> Fraction:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    if m.nrows != m.ncols:
-        raise DimensionMismatch("determinant of a non-square matrix")
-    n = m.nrows
-    if n == 0:
-        return ONE
-    a = [list(r) for r in m.rows]
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pr is None:
-                return ZERO
-            a[k], a[pr] = a[pr], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = ZERO
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
 
 def charpoly(m: Matrix) -> tuple[Fraction, ...]:
     """Coefficients of det(tI - M), low degree first; always monic.
@@ -549,21 +500,40 @@ def rational_eigenvalues(m: Matrix) -> tuple[list[tuple[Fraction, int]], bool]:
     return roots, total == m.nrows
 
 
-def eigenspace(m: Matrix, lam) -> Subspace:
+def eigenspace(m: Matrix, lam, within: Subspace) -> Subspace:
+    """{v in within : Mv = lam v}; M need not preserve `within`.
+
+    The kernel of the system whose columns are (M - lam I)b over the basis
+    b of `within`, combined back into Q^n.  The canonical basis of the
+    whole space is the identity, so there the kernel is the answer.
+    """
+    if m.nrows != m.ncols or m.ncols != within.ambient:
+        raise DimensionMismatch("operator/subspace ambient mismatch")
     lam = Fraction(lam)
-    return kernel(m - Matrix.identity(m.nrows).scale(lam))
+    n = within.ambient
+    B = Matrix.from_columns(within.basis, n)
+    # (M - lam I)B = MB - lam B, entry by entry
+    system = Matrix(
+        [x - lam * b if b else x for x, b in zip(mb_row, b_row)]
+        for mb_row, b_row in zip((m @ B).rows, B.rows)
+    )
+    coeffs = kernel(system)
+    if within.is_full():
+        return coeffs
+    vectors = [combine(zip(c, within.basis), n) for c in coeffs.basis]
+    return Subspace.span(n, vectors)
 
 
 def common_eigenspace(
     pairs: Iterable[tuple[Matrix, Fraction]], within: Subspace
 ) -> Subspace:
-    """Intersection of `within` with ker(op - lam I) over the (op, lam)
-    pairs, in order; stops consuming pairs once the space is zero."""
+    """{v in within : op v = lam v for every (op, lam) pair}, one eigen-step
+    per pair in order; stops consuming pairs once the space is zero."""
     space = within
     for op, lam in pairs:
         if space.dim == 0:
             break
-        space = space.intersect(eigenspace(op, lam))
+        space = eigenspace(op, lam, space)
     return space
 
 
@@ -590,14 +560,6 @@ def restrict_operator(m: Matrix, s: Subspace) -> Matrix:
     return Matrix.from_columns(cols, s.dim)
 
 
-def lift_subspace(inner: Subspace, outer: Subspace) -> Subspace:
-    """Embed a subspace given in the coordinates of `outer` back into Q^n."""
-    vectors = [
-        combine(zip(coeffs, outer.basis), outer.ambient) for coeffs in inner.basis
-    ]
-    return Subspace.span(outer.ambient, vectors)
-
-
 def joint_eigenspace(
     family: Sequence[Matrix], within: Subspace
 ) -> tuple[Subspace, list[Fraction]]:
@@ -614,13 +576,12 @@ def joint_eigenspace(
     current = within
     eigs: list[Fraction] = []
     for op in family:
-        restricted = restrict_operator(op, current)
-        roots, _ = rational_eigenvalues(restricted)
+        # the restriction gives the spectrum and the invariance check
+        roots, _ = rational_eigenvalues(restrict_operator(op, current))
         if not roots:
             raise NonSplitSpectrum("restricted operator has no rational eigenvalue")
         lam = roots[0][0]
-        inner = eigenspace(restricted, lam)
-        current = lift_subspace(inner, current)
+        current = eigenspace(op, lam, current)
         eigs.append(lam)
     return current, eigs
 

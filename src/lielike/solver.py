@@ -39,12 +39,12 @@ from .linalg import (
     commutator,
     common_eigenspace,
     eigenspace,
+    inverse,
     is_invariant,
     is_zero_vec,
     joint_eigenspace,
     joint_eigenvector,
     rational_eigenvalues,
-    solve_linear,
     unit_vec,
     vdot,
     vec,
@@ -234,14 +234,14 @@ class _FunctionalExtender:
 
     def __init__(self, a_basis: Sequence[Vector], x: Vector):
         self.n = len(x)
-        self._B = Matrix(list(a_basis) + [x])
+        # row r of B is the r-th basis vector, so phi = B^-1 (values on it)
+        self._B_inv = inverse(Matrix(list(a_basis) + [x]))
 
     def extend(self, grid_on_a: Grid, x_values: Sequence[Fraction]) -> Grid:
-        out = []
-        for row, lam in zip(grid_on_a, x_values, strict=True):
-            rhs = tuple(row) + (Fraction(lam),)
-            out.append(solve_linear(self._B, rhs))
-        return tuple(out)
+        return tuple(
+            self._B_inv.apply(tuple(row) + (Fraction(lam),))
+            for row, lam in zip(grid_on_a, x_values, strict=True)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +420,14 @@ def oracle_solve(
         raise DimensionMismatch("oracle needs a nonzero module")
     ops = [M.F[k][i] for k in range(s) for i in range(n)]
     ops += [M.G[k][i] for k in range(s) for i in range(n)]
-    fronts: list[tuple[Subspace, tuple[Fraction, ...]]] = [
-        (Subspace.full(m), ())
-    ]
+    full = Subspace.full(m)
+    fronts: list[tuple[Subspace, tuple[Fraction, ...]]] = [(full, ())]
     saw_nonsplit = False
     for op in ops:
         roots, fully = rational_eigenvalues(op)
         if not fully:
             saw_nonsplit = True
-        eigenspaces = [(lam, eigenspace(op, lam)) for lam, _ in roots]
+        eigenspaces = [(lam, eigenspace(op, lam, full)) for lam, _ in roots]
         new = []
         for space, assignment in fronts:
             for lam, eig in eigenspaces:

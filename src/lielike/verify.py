@@ -8,7 +8,7 @@ input was malformed or an eigen-step left the rationals.
 from __future__ import annotations
 
 from .algebra import LieLikeAlgebra, check_algebra, is_solvable
-from .errors import NonSplitSpectrum
+from .errors import NonSplitSpectrum, TheoremViolation
 from .modules import (
     OrdinaryModule,
     check_derived_identities,
@@ -80,6 +80,9 @@ def run_verify(L: LieLikeAlgebra, M: OrdinaryModule) -> tuple[dict, int]:
     except NonSplitSpectrum as exc:
         checks["solve"] = {"ok": False, "error": str(exc)}
         return report, EXIT_INVALID
+    except TheoremViolation as exc:
+        checks["solve"] = {"ok": False, "error": str(exc)}
+        return report, EXIT_VIOLATION
     weight_ok = verify_weight(M, result.v, result.weight)
     dichotomy_ok = result.dichotomy != DICHOTOMY_VIOLATION
     checks["solve"] = {

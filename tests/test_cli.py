@@ -6,7 +6,7 @@ from lielike import algebra as algebra_module
 from lielike import cli, serialize
 from lielike.cli import main
 from lielike.serialize import MAX_SIZE, algebra_to_json, dumps, instance_to_json
-from lielike import OrdinaryModule, adjoint
+from lielike import LieLikeAlgebra, OrdinaryModule, adjoint
 from lielike.linalg import Matrix
 
 
@@ -167,6 +167,58 @@ class TestViolationExits:
         assert code == 1
         code, _ = run(capsys, "check-module", path)
         assert code == 1
+
+
+PROOF_GAP = {(0, 0, 1): [1, -1, -1], (0, 1, 0): [-1, 1, 1]}
+
+
+class TestOneLineErrors:
+    """solve and oracle check the axioms before they start, and a
+    TheoremViolation is a one-line error too, never a traceback."""
+
+    @staticmethod
+    def assert_one_line(result, prefix):
+        code, out, err = result
+        assert (code, out) == (1, "")
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_module_violation(self, tmp_path, capsys, aff2, command):
+        # F_0 = (diag(1, 2), [[1, 1], [1, 1]]), G = 0 breaks eq-1.3
+        zero = Matrix([[0, 0], [0, 0]])
+        F0 = (Matrix([[1, 0], [0, 2]]), Matrix([[1, 1], [1, 1]]))
+        M = OrdinaryModule(aff2, 2, (F0,), ((zero, zero),))
+        path = write_instance(tmp_path, aff2, M)
+        result = run_captured(capsys, command, path)
+        self.assert_one_line(result, "error: module axiom eq-1.3 fails at (k,h,i,j)=(")
+        assert run(capsys, "check-module", path)[0] == 1
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_algebra_violation(self, tmp_path, capsys, command):
+        L = LieLikeAlgebra.from_constants(1, 1, {(0, 0, 0): [1]})
+        zero = Matrix([[0]])
+        path = write_instance(tmp_path, L, OrdinaryModule(L, 1, ((zero,),), ((zero,),)))
+        result = run_captured(capsys, command, path, "--json")
+        self.assert_one_line(result, "error: algebra identity ")
+
+    def test_solve_on_the_proof_gap(self, tmp_path, capsys):
+        L = LieLikeAlgebra.from_constants(3, 2, PROOF_GAP)
+        path = write_instance(tmp_path, L, adjoint(L))
+        result = run_captured(capsys, "solve", path)
+        self.assert_one_line(result, "error: recursive weight space lost")
+
+    def test_verify_reports_the_proof_gap(self, tmp_path, capsys):
+        L = LieLikeAlgebra.from_constants(3, 2, PROOF_GAP)
+        path = write_instance(tmp_path, L, adjoint(L))
+        code, out, err = run_captured(capsys, "verify", path, "--json")
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        failing = [name for name, info in report["checks"].items() if not info["ok"]]
+        assert failing == ["solve"] and not report["ok"]
+        assert report["checks"]["solve"] == {
+            "ok": False, "error": "recursive weight space lost its weight vector"
+        }
 
 
 class TestInvalidExits:

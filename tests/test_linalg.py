@@ -10,18 +10,19 @@ from lielike.linalg import (
     Subspace,
     charpoly,
     combine,
-    det,
     eigenspace,
     inverse,
+    is_invariant,
+    joint_eigenspace,
     joint_eigenvector,
     kernel,
     poly_eval,
-    rank,
     rational_eigenvalues,
     rref,
     restrict_operator,
     vec,
 )
+from reference_linalg import det, rank, scalar_matrix
 
 F = Fraction
 
@@ -79,22 +80,35 @@ def _block_diagonal(a, b):
     )
 
 
-def structured_matrices(n_max=9):
-    """Triangular, companion and block-diagonal matrices up to n_max."""
-    upper = st.integers(1, n_max).flatmap(
+def triangular_matrices(n_max, lower=False):
+    """Upper (or lower) triangular matrices: every eigenvalue is rational."""
+    def keep(i, j):
+        return j <= i if lower else j >= i
+
+    return st.integers(1, n_max).flatmap(
         lambda n: st.lists(
             st.lists(small_fracs, min_size=n, max_size=n), min_size=n, max_size=n
         ).map(
             lambda rows: Matrix(
-                [[x if j >= i else F(0) for j, x in enumerate(r)] for i, r in enumerate(rows)]
+                [[x if keep(i, j) else F(0) for j, x in enumerate(r)]
+                 for i, r in enumerate(rows)]
             )
         )
     )
+
+
+def structured_matrices(n_max=9):
+    """Triangular, companion and block-diagonal matrices up to n_max."""
     companion = st.lists(small_fracs, min_size=1, max_size=n_max).map(_companion)
     blocks = st.tuples(matrices(1, 4), sparse_matrices(5)).map(
         lambda ab: _block_diagonal(*ab)
     )
-    return st.one_of(upper, upper.map(Matrix.transpose), companion, blocks)
+    return st.one_of(
+        triangular_matrices(n_max),
+        triangular_matrices(n_max, lower=True),
+        companion,
+        blocks,
+    )
 
 
 # half the entries zero, so zero rows, columns and coefficients are common
@@ -294,13 +308,14 @@ class TestEigen:
         assert roots == [(F(1), 1), (F(2), 1)] and full
 
     def test_eigenspace_of_zero_map(self):
-        assert eigenspace(Matrix.zeros(2, 2), F(0)) == Subspace.full(2)
+        full = Subspace.full(2)
+        assert eigenspace(Matrix.zeros(2, 2), F(0), full) == full
 
     def test_eigenspace_missing_eigenvalue(self):
-        assert eigenspace(Matrix.identity(2), F(0)) == Subspace.zero(2)
+        assert eigenspace(Matrix.identity(2), F(0), Subspace.full(2)) == Subspace.zero(2)
 
     def test_eigenspace_triangular(self):
-        assert eigenspace(mat([[1, 1], [0, 2]]), F(2)) == Subspace.span(
+        assert eigenspace(mat([[1, 1], [0, 2]]), F(2), Subspace.full(2)) == Subspace.span(
             2, [vec([F(1), F(1)])]
         )
 
@@ -314,7 +329,7 @@ class TestEigen:
             assert sum(m for _, m in roots) == M.nrows
         for lam, _ in roots:
             assert poly_eval(poly, lam) == 0
-            assert eigenspace(M, lam).dim >= 1
+            assert eigenspace(M, lam, Subspace.full(M.nrows)).dim >= 1
 
     @settings(max_examples=50, deadline=None)
     @given(matrices())
@@ -325,6 +340,165 @@ class TestEigen:
         assert poly[-1] == 1
 
 
+def shifted_by_hand(M, lam):
+    """M - lam I, entry by entry: the reference for one eigen-step."""
+    return Matrix(
+        [[x - lam if i == j else x for j, x in enumerate(row)]
+         for i, row in enumerate(M.rows)]
+    )
+
+
+def krylov_space(M, v):
+    """span(v, Mv, ..., M^(n-1) v), which M always preserves."""
+    vectors = [tuple(v)]
+    for _ in range(M.nrows - 1):
+        vectors.append(M.apply(vectors[-1]))
+    return Subspace.span(M.nrows, vectors)
+
+
+def eigen_operators(n_max):
+    return st.one_of(
+        matrices(1, n_max),
+        sparse_matrices(n_max),
+        triangular_matrices(n_max),
+        triangular_matrices(n_max, lower=True),
+    )
+
+
+@st.composite
+def eigenspace_cases(draw, n_max=6):
+    """(M, lam, kind, within): lam a rational root of M's charpoly or a
+    value that is not one; within zero, full, M-invariant or arbitrary."""
+    M = draw(eigen_operators(n_max))
+    n = M.nrows
+    poly = charpoly(M)
+    roots = [lam for lam, _ in rational_eigenvalues(M)[0]]
+    non_root = small_fracs.filter(lambda x: poly_eval(poly, x) != 0)
+    use_root = roots and draw(st.integers(0, 3))  # a root 3 times in 4
+    lam = draw(st.sampled_from(roots) if use_root else non_root)
+    kind = draw(st.sampled_from(["zero", "full", "invariant", "arbitrary"]))
+    # adding an eigenvector (when lam has one) keeps an invariant space
+    # invariant and makes a nonzero answer likely
+    eigenvectors = kernel(shifted_by_hand(M, lam)).basis[:draw(st.integers(0, 1))]
+    if kind == "zero":
+        within = Subspace.zero(n)
+    elif kind == "full":
+        within = Subspace.full(n)
+    elif kind == "invariant":
+        within = krylov_space(M, draw(zero_heavy_vectors(n))).add(
+            Subspace.span(n, eigenvectors)
+        )
+    else:
+        vectors = draw(st.lists(zero_heavy_vectors(n), min_size=1, max_size=max(n - 1, 1)))
+        within = Subspace.span(n, vectors + list(eigenvectors))
+    return M, lam, kind, within
+
+
+class TestEigenspaceWithin:
+    """eigenspace(M, lam, within) = {v in within : Mv = lam v}."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(eigenspace_cases())
+    def test_equals_intersection_with_kernel(self, case):
+        M, lam, kind, within = case
+        if kind == "invariant":
+            assert is_invariant([M], within)
+        expected = within.intersect(kernel(shifted_by_hand(M, lam)))
+        assert eigenspace(M, lam, within) == expected
+
+    def test_nilpotent_inside_non_invariant_line(self):
+        # M e0 = e1 and M e1 = 0: span(e0) is not M-invariant
+        M = mat([[0, 0], [1, 0]])
+        e0 = Subspace.span(2, [vec([1, 0])])
+        e1 = Subspace.span(2, [vec([0, 1])])
+        assert eigenspace(M, F(0), e0) == Subspace.zero(2)
+        assert eigenspace(M, F(0), e1) == e1
+        assert eigenspace(M, F(1), e1) == Subspace.zero(2)
+
+    def test_plane_not_preserved(self):
+        # M = diag(1, 2, 3) on the plane x = y: only 0 has Mv = v there
+        M = mat([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+        plane = Subspace.span(3, [vec([1, 1, 0]), vec([0, 0, 1])])
+        assert eigenspace(M, F(1), plane) == Subspace.zero(3)
+        assert eigenspace(M, F(3), plane) == Subspace.span(3, [vec([0, 0, 1])])
+
+    def test_zero_subspace(self):
+        assert eigenspace(Matrix.zeros(3, 3), F(0), Subspace.zero(3)) == Subspace.zero(3)
+
+    def test_empty_ambient(self):
+        assert eigenspace(Matrix([]), F(0), Subspace.full(0)) == Subspace.zero(0)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            eigenspace(Matrix.identity(2), F(1), Subspace.full(3))
+
+
+def old_joint_eigenspace(family, within):
+    """Restrict, take the kernel in restricted coordinates, lift back: the
+    path joint_eigenspace took before the one eigen-step."""
+    current = within
+    eigs = []
+    for op in family:
+        restricted = restrict_operator(op, current)
+        roots, _ = rational_eigenvalues(restricted)
+        if not roots:
+            raise NonSplitSpectrum("no rational eigenvalue")
+        lam = roots[0][0]
+        inner = kernel(shifted_by_hand(restricted, lam))
+        n = current.ambient
+        current = Subspace.span(n, [
+            tuple(sum((c * b[j] for c, b in zip(coeffs, current.basis)), F(0))
+                  for j in range(n))
+            for coeffs in inner.basis
+        ])
+        eigs.append(lam)
+    return current, eigs
+
+
+@st.composite
+def joint_cases(draw, n_max=5):
+    """A family of polynomials in one triangular T, sometimes with an
+    unrelated operator, and a nonzero subspace: T-invariant or arbitrary."""
+    T = draw(triangular_matrices(n_max))
+    n = T.nrows
+    c = draw(small_fracs)
+    polys = [T, T @ T, T - scalar_matrix(n, c), scalar_matrix(n, c)]
+    family = draw(st.lists(st.sampled_from(polys), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        other = draw(st.lists(zero_heavy_vectors(n), min_size=n, max_size=n))
+        family.insert(draw(st.integers(0, len(family))), Matrix(other))
+    within = draw(st.one_of(
+        zero_heavy_vectors(n).map(lambda v: krylov_space(T, v)),
+        st.lists(zero_heavy_vectors(n), min_size=1, max_size=n).map(
+            lambda vs: Subspace.span(n, vs)),
+        st.just(Subspace.full(n)),
+    ))
+    return family, within if within.dim else Subspace.full(n)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NotInvariant, NonSplitSpectrum) as exc:
+        return type(exc)
+
+
+class TestJointEigenspace:
+    @settings(max_examples=100, deadline=None)
+    @given(joint_cases())
+    def test_matches_restrict_kernel_lift(self, case):
+        family, within = case
+        assert outcome(joint_eigenspace, family, within) == outcome(
+            old_joint_eigenspace, family, within
+        )
+
+    def test_exact_case(self):
+        # T = [[1, 1], [0, 2]]: smallest eigenvalue 1 on e0; then T^2 has 1
+        T = mat([[1, 1], [0, 2]])
+        space, eigs = joint_eigenspace([T, T @ T], Subspace.full(2))
+        assert space == Subspace.span(2, [vec([1, 0])]) and eigs == [F(1), F(1)]
+
+
 class TestCharpoly:
     @staticmethod
     def assert_is_charpoly(M):
@@ -332,7 +506,7 @@ class TestCharpoly:
         n = M.nrows
         assert len(poly) == n + 1 and poly[-1] == 1
         for t in range(n + 2):
-            assert poly_eval(poly, F(t)) == det(Matrix.identity(n).scale(t) - M)
+            assert poly_eval(poly, F(t)) == det(scalar_matrix(n, t) - M)
 
     @settings(max_examples=50, deadline=None)
     @given(matrices())
@@ -417,7 +591,7 @@ class TestJointEigenvector:
 
     def test_scalar_family(self):
         v, eigs = joint_eigenvector(
-            [Matrix.identity(2), Matrix.identity(2).scale(F(3))],
+            [Matrix.identity(2), mat([[3, 0], [0, 3]])],
             Subspace.full(2),
         )
         assert v == vec([F(1), F(0)]) and eigs == [F(1), F(3)]

@@ -45,15 +45,17 @@ def perturbed(M, which, k, i, r, c, delta=1):
 class TestAdjoint:
     def test_abelian_adjoint_is_zero(self):
         M = adjoint(LieLikeAlgebra.from_constants(2, 1, {}))
-        assert all(op.is_zero() for fk in M.F for op in fk)
-        assert all(op.is_zero() for gk in M.G for op in gk)
+        zero = Matrix([[0, 0], [0, 0]])
+        assert all(op == zero for fk in M.F for op in fk)
+        assert all(op == zero for gk in M.G for op in gk)
 
     def test_leib2_operators(self, leib2):
         M = adjoint(leib2)
         e1, e2 = vec([F(1), F(0)]), vec([F(0), F(1)])
         assert M.F[0][1].apply(e2) == vec([F(-1), F(0)])
         assert M.G[0][1].apply(e2) == e1
-        assert M.F[0][0].is_zero() and M.G[0][0].is_zero()
+        zero = Matrix([[0, 0], [0, 0]])
+        assert M.F[0][0] == zero and M.G[0][0] == zero
 
     def test_nt3_second_bracket(self, nt3):
         M = adjoint(nt3)
@@ -91,8 +93,10 @@ def naive_check_module(M):
     F_, G_ = M.F, M.G
     out = []
 
+    zero = Matrix.zeros(M.vdim, M.vdim)
+
     def record(tag, k, h, i, j, residual):
-        if not residual.is_zero():
+        if residual != zero:
             out.append(ModuleViolation(tag, (k, h, i, j), residual))
 
     for k in range(L.s):
@@ -122,9 +126,9 @@ def naive_derived_identities(M):
             for i in range(L.dim):
                 for j in range(L.dim):
                     wk, wh = L.c[k][i][j], L.c[h][i][j]
-                    if not (M.f(h, wk) - M.f(k, wh)).is_zero():
+                    if M.f(h, wk) != M.f(k, wh):
                         failures.append(f"f-swap at (k={k}, h={h}, i={i}, j={j})")
-                    if not (M.g(h, wk) - M.g(k, wh)).is_zero():
+                    if M.g(h, wk) != M.g(k, wh):
                         failures.append(f"g-swap at (k={k}, h={h}, i={i}, j={j})")
     return Report(not failures, tuple(failures))
 
@@ -238,22 +242,24 @@ class TestRestrictModule:
         A = span(2, [[1, 0]])
         LA = restrict_algebra(leib2, A)
         MA = restrict_module(adjoint(leib2), A, LA)
-        assert all(op.is_zero() for fk in MA.F for op in fk)
-        assert all(op.is_zero() for gk in MA.G for op in gk)
+        zero = Matrix([[0, 0], [0, 0]])
+        assert all(op == zero for fk in MA.F for op in fk)
+        assert all(op == zero for gk in MA.G for op in gk)
         assert check_module(MA) == []
 
     def test_nt3_plane_acts_by_zero(self, nt3):
         A = span(3, [[1, 0, 0], [0, 1, 0]])
         LA = restrict_algebra(nt3, A)
         MA = restrict_module(adjoint(nt3), A, LA)
-        assert all(op.is_zero() for fam in (MA.F, MA.G) for fk in fam for op in fk)
+        zero = Matrix([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+        assert all(op == zero for fam in (MA.F, MA.G) for fk in fam for op in fk)
 
 
 class TestChangeBasis:
     def test_identity_and_scalar(self, leib2):
         M = adjoint(leib2)
         assert change_basis(M, Matrix.identity(2)) == M
-        assert change_basis(M, Matrix.identity(2).scale(F(2))) == M
+        assert change_basis(M, Matrix([[2, 0], [0, 2]])) == M
 
     def test_shear(self, leib2):
         P = Matrix([[F(1), F(1)], [F(0), F(1)]])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from lielike import (
     CONSTRUCTIONS,
     GeneratorSpec,
-    Matrix,
     Subspace,
     Weight,
     derived_algebra,
@@ -23,6 +22,7 @@ from lielike import (
 from lielike.algebra import bracket
 from lielike.generate import random_unimodular, transform_instance
 from lielike.linalg import inverse, zero_vec
+from reference_linalg import scalar_matrix
 
 specs = st.builds(
     GeneratorSpec,
@@ -36,11 +36,12 @@ specs = st.builds(
 def old_weight_space(M, a_basis, w):
     """The per-vector kernel-intersection loop over the full module."""
     space = Subspace.full(M.vdim)
-    ident = Matrix.identity(M.vdim)
     for k in range(M.algebra.s):
         for p, a in enumerate(a_basis):
-            space = space.intersect(kernel(M.f(k, a) - ident.scale(w.phi[k][p])))
-            space = space.intersect(kernel(M.g(k, a) - ident.scale(w.psi[k][p])))
+            phi = scalar_matrix(M.vdim, w.phi[k][p])
+            psi = scalar_matrix(M.vdim, w.psi[k][p])
+            space = space.intersect(kernel(M.f(k, a) - phi))
+            space = space.intersect(kernel(M.g(k, a) - psi))
     return space
 
 
