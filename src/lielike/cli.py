@@ -12,6 +12,7 @@ report is one line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -266,6 +267,8 @@ def cmd_generate(args) -> int:
     return 0
 
 
+# built once per process: parsing leaves the parser as it was
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lielike",

@@ -49,7 +49,8 @@ def vadd(a: Vector, b: Vector) -> Vector:
 
 
 def vsub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
+    # operators are sparse: a zero y leaves x as it is
+    return tuple(x - y if y else x for x, y in zip(a, b, strict=True))
 
 
 def vscale(c, a: Vector) -> Vector:
@@ -168,10 +169,8 @@ class Matrix:
         """Matrix-vector product (vectors are coordinate columns)."""
         if len(v) != self.ncols:
             raise DimensionMismatch("matrix/vector shape mismatch")
-        return tuple(
-            sum((rij * vj for rij, vj in zip(row, v) if vj != 0), ZERO)
-            for row in self.rows
-        )
+        # Mv is the combination of M's columns by the entries of v
+        return combine(zip(v, zip(*self.rows)), self.nrows)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -208,30 +207,68 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 # row reduction and subspaces
 # ---------------------------------------------------------------------------
 
+def _primitive_ints(values: Sequence[Fraction]) -> list[int] | None:
+    """The values scaled to coprime integers with the same ratios and signs;
+    None if every value is zero."""
+    ratios = [x.as_integer_ratio() for x in values]
+    d = lcm(*{q for _, q in ratios})
+    ints = [n * (d // q) for n, q in ratios]
+    g = gcd(*ints)
+    if not g:
+        return None
+    return [x // g for x in ints] if g != 1 else ints
+
+
 def rref(rows: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
-    """Reduced row-echelon form; returns (nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows]
+    """Reduced row-echelon form over Q; returns (nonzero rows, pivot columns).
+
+    The one elimination routine of the library.  It is fraction-free in
+    the style of Bareiss (*Math. Comp.* 22, 1968): each row is scaled to
+    primitive integers, Gauss-Jordan runs on integer rows (each combined
+    row is divided by the gcd of its entries, which keeps them small), and
+    each row is divided by its pivot once at the end.  The reduced form
+    over Q is unique, so the result is the one any exact elimination gives.
+    """
+    work = [row for row in map(_primitive_ints, rows) if row is not None]
     if not work:
         return [], []
     ncols = len(work[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pr is None:
             continue
         work[r], work[pr] = work[pr], work[r]
-        inv = ONE / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivot_row = work[r]
+        p = pivot_row[c]
+        # rows at or below r are zero left of column c
+        nonzero = [(j, x) for j, x in enumerate(pivot_row[c:], c) if x]
+        for i, row in enumerate(work):
+            a = row[c]
+            if not a or i == r:
+                continue
+            # row <- (p/g) row - (a/g) pivot_row clears column c
+            g = gcd(p, a)
+            pg, ag = p // g, a // g
+            if pg != 1:
+                row = [pg * x for x in row]
+            for j, x in nonzero:
+                row[j] -= ag * x
+            g = gcd(*row)  # 0 when the row became zero
+            work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return [tuple(row) for row in work[:r]], pivots
+    out = []
+    for row, c in zip(work, pivots):
+        p = row[c]
+        # zeros and entries equal to the pivot are common: share ZERO and ONE
+        out.append(tuple(
+            ZERO if not x else ONE if x == p else Fraction(x, p) for x in row
+        ))
+    return out, pivots
 
 
 class Subspace:
@@ -435,18 +472,9 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _primitive_int_poly(coeffs: Sequence[Fraction]) -> list[int]:
-    mult = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    ints = [int(c * mult) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    return [c // g for c in ints] if g else ints
-
-
 def rational_roots(coeffs: Sequence[Fraction]) -> list[tuple[Fraction, int]]:
     """Rational roots with multiplicities via the rational-root theorem."""
-    p = _primitive_int_poly(coeffs)
+    p = _primitive_ints(coeffs) or []
     while p and p[-1] == 0:
         p.pop()
     if not p:
@@ -501,23 +529,30 @@ def rational_eigenvalues(m: Matrix) -> tuple[list[tuple[Fraction, int]], bool]:
 
 
 def eigenspace(m: Matrix, lam, within: Subspace) -> Subspace:
-    """{v in within : Mv = lam v}; M need not preserve `within`.
+    """{v in within : Mv = lam v}; M need not preserve `within`."""
+    return _eigen_step(_images(m, within), Fraction(lam), within)
 
-    The kernel of the system whose columns are (M - lam I)b over the basis
-    b of `within`, combined back into Q^n.  The canonical basis of the
-    whole space is the identity, so there the kernel is the answer.
-    """
+
+def _images(m: Matrix, within: Subspace) -> list[Vector]:
+    """Mb for each basis vector b of `within`; M must be square on Q^n."""
     if m.nrows != m.ncols or m.ncols != within.ambient:
         raise DimensionMismatch("operator/subspace ambient mismatch")
-    lam = Fraction(lam)
+    return [m.apply(b) for b in within.basis]
+
+
+def _eigen_step(images: Sequence[Vector], lam: Fraction, within: Subspace) -> Subspace:
+    """{v in within : Mv = lam v} from the images Mb of the basis of `within`.
+
+    The kernel of the system whose columns are (M - lam I)b = Mb - lam b,
+    combined back into Q^n.  The canonical basis of the whole space is the
+    identity, so there the kernel is the answer.
+    """
     n = within.ambient
-    B = Matrix.from_columns(within.basis, n)
-    # (M - lam I)B = MB - lam B, entry by entry
-    system = Matrix(
-        [x - lam * b if b else x for x, b in zip(mb_row, b_row)]
-        for mb_row, b_row in zip((m @ B).rows, B.rows)
-    )
-    coeffs = kernel(system)
+    cols = [
+        tuple(x - lam * y if y else x for x, y in zip(image, b))
+        for image, b in zip(images, within.basis)
+    ]
+    coeffs = kernel(Matrix.from_columns(cols, n))
     if within.is_full():
         return coeffs
     vectors = [combine(zip(c, within.basis), n) for c in coeffs.basis]
@@ -550,9 +585,13 @@ def restrict_operator(m: Matrix, s: Subspace) -> Matrix:
     """Matrix of M in the canonical basis of an M-invariant subspace."""
     if m.ncols != s.ambient:
         raise DimensionMismatch("operator/subspace ambient mismatch")
+    return _restricted([m.apply(b) for b in s.basis], s)
+
+
+def _restricted(images: Sequence[Vector], s: Subspace) -> Matrix:
+    """The restriction to s of the operator with images Mb of s's basis."""
     cols = []
-    for b in s.basis:
-        image = m.apply(b)
+    for image in images:
         c = s.coords(image)
         if c is None:
             raise NotInvariant("operator does not preserve the subspace")
@@ -576,12 +615,14 @@ def joint_eigenspace(
     current = within
     eigs: list[Fraction] = []
     for op in family:
-        # the restriction gives the spectrum and the invariance check
-        roots, _ = rational_eigenvalues(restrict_operator(op, current))
+        # one set of images gives the invariance check, the restricted
+        # spectrum and the eigen-step
+        images = _images(op, current)
+        roots, _ = rational_eigenvalues(_restricted(images, current))
         if not roots:
             raise NonSplitSpectrum("restricted operator has no rational eigenvalue")
         lam = roots[0][0]
-        current = eigenspace(op, lam, current)
+        current = _eigen_step(images, lam, current)
         eigs.append(lam)
     return current, eigs
 

@@ -242,14 +242,17 @@ def adjoint(L: LieLikeAlgebra) -> OrdinaryModule:
 
 
 def plus_annihilator(M: OrdinaryModule) -> Subspace:
-    """Span of (g_h(e_i) - f_k(e_i))(b) over all basis elements and indices."""
-    L = M.algebra
+    """Span of (g_h(e_i) - f_k(e_i))(b) over all basis elements and indices.
+
+    Since g_h - f_k = (g_h - f_0) - (f_k - f_0), the images of g_h - f_0
+    for every h and of f_k - f_0 for k >= 1 span the same space: 2s - 1
+    operators per basis index instead of s^2.
+    """
     gens = []
-    for h in range(L.s):
-        for k in range(L.s):
-            for i in range(L.dim):
-                diff = M.G[h][i] - M.F[k][i]
-                gens.extend(diff.columns())
+    for i in range(M.algebra.dim):
+        f0 = M.F[0][i]
+        for op in [*(gh[i] for gh in M.G), *(fk[i] for fk in M.F[1:])]:
+            gens.extend((op - f0).columns())
     return Subspace.span(M.vdim, gens)
 
 

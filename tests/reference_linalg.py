@@ -6,7 +6,7 @@ different method, something the library computes itself.
 
 from fractions import Fraction
 
-from lielike.linalg import Matrix, rref
+from lielike.linalg import Matrix
 
 F = Fraction
 
@@ -35,8 +35,35 @@ def det(m: Matrix) -> Fraction:
     return sign * a[n - 1][n - 1]
 
 
+def reference_rref(rows) -> tuple[list[tuple], list[int]]:
+    """Reduced row-echelon form by Gauss-Jordan on Fraction rows; returns
+    (nonzero rows, pivot columns)."""
+    work = [list(r) for r in rows]
+    if not work:
+        return [], []
+    ncols = len(work[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        inv = F(1) / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return [tuple(row) for row in work[:r]], pivots
+
+
 def rank(m: Matrix) -> int:
-    return len(rref(m.rows)[0])
+    return len(reference_rref(m.rows)[0])
 
 
 def scalar_matrix(n: int, c) -> Matrix:

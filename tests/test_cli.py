@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -414,6 +415,32 @@ class TestOverlongInput:
         module["G"] = [[None, module["G"][0][1]]]
         assert self.verify(tmp_path, capsys, obj) == dense
         assert dense[0] == 0
+
+
+class TestParserReuse:
+    def test_no_state_leaks_between_calls(self, tmp_path, capsys, leib2):
+        path = write_instance(tmp_path, leib2, adjoint(leib2))
+        code, out = run(capsys, "verify", "--json", path)
+        assert code == 0 and json.loads(out)["ok"] is True
+        code, out = run(capsys, "verify", path)
+        assert code == 0
+        assert out.splitlines()[0] == "algebra-axioms: ok"
+        assert out.splitlines()[-1] == "verdict: ok"
+
+    def test_call_leaves_no_cyclic_garbage(self, tmp_path, capsys, leib2):
+        path = write_instance(tmp_path, leib2, adjoint(leib2))
+        run(capsys, "verify", "--json", path)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            code, _ = run(capsys, "verify", "--json", path)
+            gc.collect()
+            garbage = list(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert code == 0
+        assert garbage == []
 
 
 class TestDeterminism:

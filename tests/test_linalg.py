@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lielike.errors import DimensionMismatch, NonSplitSpectrum, NotInvariant
+from lielike.errors import DimensionMismatch, NonSplitSpectrum, NotInvariant, Singular
 from lielike.linalg import (
     Matrix,
     Subspace,
@@ -22,7 +22,7 @@ from lielike.linalg import (
     restrict_operator,
     vec,
 )
-from reference_linalg import det, rank, scalar_matrix
+from reference_linalg import det, rank, reference_rref, scalar_matrix
 
 F = Fraction
 
@@ -130,7 +130,71 @@ def subspace_pairs(n=4, entries=small_fracs):
 
 def in_span(S, v):
     """Reference membership test: adding v to the basis keeps the rank."""
-    return len(rref(list(S.basis) + [tuple(v)])[0]) == S.dim
+    return len(reference_rref(list(S.basis) + [tuple(v)])[0]) == S.dim
+
+
+# large numerators over large, pairwise coprime denominators: the row scaling
+# multiplies denominators together, and gcds between entries are rare
+LARGE_PRIMES = (999983, 1000003, 2**31 - 1, 10**9 + 7)
+large_coprime = st.builds(
+    F, st.integers(-(10**15), 10**15), st.sampled_from(LARGE_PRIMES)
+)
+mostly_zero = st.one_of(st.just(F(0)), st.just(F(0)), st.just(F(0)), small_fracs)
+
+ENTRY_KINDS = st.sampled_from([
+    small_fracs,  # dense
+    zero_heavy,
+    mostly_zero,  # sparse
+    st.just(F(0)),  # all zero
+    large_coprime,
+    st.one_of(st.just(F(0)), large_coprime),
+])
+
+
+@st.composite
+def row_lists(draw, n_max=8, square=False):
+    """Rows of one length over one entry kind: empty, square, tall or wide
+    up to n_max, and any number of rows may depend on the others."""
+    entries = draw(ENTRY_KINDS)
+    nrows = draw(st.integers(0, n_max))
+    ncols = nrows if square else draw(st.integers(0, n_max))
+    row = st.lists(entries, min_size=ncols, max_size=ncols).map(tuple)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+def row_matrices(n_max=8, square=False):
+    return row_lists(n_max, square).filter(bool).map(Matrix)
+
+
+class TestRref:
+    @settings(max_examples=300, deadline=None)
+    @given(row_lists())
+    def test_matches_fraction_gauss_jordan(self, rows):
+        out = rref(rows)
+        assert out == reference_rref(rows)
+        assert all(type(x) is Fraction for row in out[0] for x in row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(row_lists(), st.lists(small_fracs, min_size=8, max_size=8))
+    def test_dependent_rows(self, rows, weights):
+        # a combination of the rows cancels to zero during elimination
+        if rows:
+            extra = combine(zip(weights, rows), len(rows[0]))
+            rows = rows + [extra, rows[0]]
+        assert rref(rows) == reference_rref(rows)
+
+    def test_exact_cases(self):
+        assert rref([]) == ([], [])
+        assert rref([vec([0, 0]), vec([0, 0])]) == ([], [])
+        assert rref([(), ()]) == ([], [])
+        assert rref([vec([1, 2, 3]), vec([2, 4, 6])]) == ([vec([1, 2, 3])], [0])
+        assert rref([vec([-2, 1])]) == ([vec([1, F(-1, 2)])], [0])
+        assert rref([vec([2, 4]), vec([1, 2]), vec([3, 7])]) == (
+            [vec([1, 0]), vec([0, 1])], [0, 1]
+        )
+        assert rref([vec([0, F(1, 3), F(1, 2)]), vec([0, F(2, 5), F(1, 7)])]) == (
+            [vec([0, 1, 0]), vec([0, 0, 1])], [1, 2]
+        )
 
 
 class TestCombine:
@@ -207,15 +271,15 @@ class TestKernel:
         )
 
     @settings(max_examples=60, deadline=None)
-    @given(matrices())
+    @given(st.one_of(matrices(), row_matrices()))
     def test_rank_nullity(self, M):
         assert kernel(M).dim + rank(M) == M.ncols
 
     @settings(max_examples=60, deadline=None)
-    @given(matrices())
+    @given(st.one_of(matrices(), row_matrices()))
     def test_kernel_members_annihilated(self, M):
         for b in kernel(M).basis:
-            assert all(x == 0 for x in M.apply(b))
+            assert M.apply(b) == (F(0),) * M.nrows
 
 
 class TestSubspace:
@@ -455,6 +519,21 @@ def old_joint_eigenspace(family, within):
     return current, eigs
 
 
+def two_pass_joint_eigenspace(family, within):
+    """restrict_operator for the spectrum, then eigenspace for the step:
+    each operator is applied to the basis twice per step."""
+    current = within
+    eigs = []
+    for op in family:
+        roots, _ = rational_eigenvalues(restrict_operator(op, current))
+        if not roots:
+            raise NonSplitSpectrum("no rational eigenvalue")
+        lam = roots[0][0]
+        current = eigenspace(op, lam, current)
+        eigs.append(lam)
+    return current, eigs
+
+
 @st.composite
 def joint_cases(draw, n_max=5):
     """A family of polynomials in one triangular T, sometimes with an
@@ -488,9 +567,9 @@ class TestJointEigenspace:
     @given(joint_cases())
     def test_matches_restrict_kernel_lift(self, case):
         family, within = case
-        assert outcome(joint_eigenspace, family, within) == outcome(
-            old_joint_eigenspace, family, within
-        )
+        got = outcome(joint_eigenspace, family, within)
+        assert got == outcome(old_joint_eigenspace, family, within)
+        assert got == outcome(two_pass_joint_eigenspace, family, within)
 
     def test_exact_case(self):
         # T = [[1, 1], [0, 2]]: smallest eigenvalue 1 on e0; then T^2 has 1
@@ -648,9 +727,16 @@ class TestRestrictOperator:
 
 
 class TestInverse:
-    @settings(max_examples=40, deadline=None)
-    @given(matrices(2, 3))
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(matrices(1, 4), row_matrices(6, square=True)))
     def test_inverse_roundtrip(self, M):
         if det(M) == 0:
+            with pytest.raises(Singular):
+                inverse(M)
             return
-        assert M @ inverse(M) == Matrix.identity(M.nrows)
+        identity = Matrix.identity(M.nrows)
+        assert M @ inverse(M) == identity and inverse(M) @ M == identity
+
+    def test_singular(self):
+        with pytest.raises(Singular):
+            inverse(mat([[1, 2], [2, 4]]))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lielike import (
     LieLikeAlgebra,
@@ -22,7 +23,7 @@ from lielike import (
 from lielike.generate import transform_instance
 from lielike.linalg import vec
 from lielike.modules import ModuleViolation, Report
-from strategies import diagonal, perturbed_modules, shifted
+from strategies import diagonal, perturbed_modules, shifted, valid_instances
 
 F = Fraction
 
@@ -198,7 +199,38 @@ class TestDerivedIdentities:
         assert check_derived_identities(adjoint(bundle2)).ok
 
 
+def s_squared_annihilator(M):
+    """Span of the columns of G_h[i] - F_k[i] over every (h, k, i)."""
+    gens = [
+        col
+        for gh in M.G for fk in M.F for g, f in zip(gh, fk)
+        for col in (g - f).columns()
+    ]
+    return Subspace.span(M.vdim, gens)
+
+
+entries = st.one_of(st.just(F(0)), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def operator_families(draw):
+    """Arbitrary F and G over an abelian algebra, s <= 3: no axiom holds."""
+    n, s, m = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    op = st.lists(
+        st.lists(entries, min_size=m, max_size=m), min_size=m, max_size=m
+    ).map(Matrix)
+    fam = st.lists(st.lists(op, min_size=n, max_size=n).map(tuple),
+                   min_size=s, max_size=s).map(tuple)
+    L = LieLikeAlgebra.from_constants(n, s, {})
+    return OrdinaryModule(L, m, draw(fam), draw(fam))
+
+
 class TestPlusAnnihilator:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(valid_instances().map(lambda inst: inst[1]), operator_families()))
+    def test_equals_span_over_every_index_pair(self, M):
+        assert plus_annihilator(M) == s_squared_annihilator(M)
+
     def test_zero_module(self, nt3):
         zero = Matrix.zeros(3, 3)
         fam = tuple(tuple(zero for _ in range(3)) for _ in range(2))
