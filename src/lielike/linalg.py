@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -51,11 +52,6 @@ def vadd(a: Vector, b: Vector) -> Vector:
 def vsub(a: Vector, b: Vector) -> Vector:
     # operators are sparse: a zero y leaves x as it is
     return tuple(x - y if y else x for x, y in zip(a, b, strict=True))
-
-
-def vscale(c, a: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
 
 
 def vdot(a: Vector, b: Vector) -> Fraction:
@@ -130,10 +126,11 @@ def _int_matmul(a: Sequence, b: Sequence, n: int) -> list[int]:
 class Matrix:
     """Dense immutable matrix over the rationals."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_int")
 
     def __init__(self, rows: Iterable[Iterable]):
         self.rows: tuple[Vector, ...] = tuple(vec(r) for r in rows)
+        self._int: tuple[int, tuple[tuple[int, ...], ...]] | None = None
         if self.rows:
             w = len(self.rows[0])
             if any(len(r) != w for r in self.rows):
@@ -162,15 +159,20 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.rows)
 
-    def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.ncols)]
-
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product (vectors are coordinate columns)."""
         if len(v) != self.ncols:
             raise DimensionMismatch("matrix/vector shape mismatch")
         # Mv is the combination of M's columns by the entries of v
         return combine(zip(v, zip(*self.rows)), self.nrows)
+
+    def _integer(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, D*M as rows of int), D the lcm of the entry denominators;
+        computed on first use and kept, as the rows never change."""
+        if self._int is None:
+            d = _common_denominator(x for r in self.rows for x in r)
+            self._int = (d, tuple(_scaled_ints(r, d) for r in self.rows))
+        return self._int
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -219,23 +221,30 @@ def _primitive_ints(values: Sequence[Fraction]) -> list[int] | None:
     return [x // g for x in ints] if g != 1 else ints
 
 
-def rref(rows: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
-    """Reduced row-echelon form over Q; returns (nonzero rows, pivot columns).
+def _normalized(row: Sequence[int], c: int) -> tuple[int, ...]:
+    """The nonzero integer row divided by the gcd of its entries, signed so
+    that entry c is positive."""
+    g = gcd(*row)
+    if row[c] < 0:
+        g = -g
+    return tuple(row) if g == 1 else tuple(x // g for x in row)
+
+
+def _reduce(rows: Iterable[Sequence[int]]) -> tuple[tuple, tuple[int, ...]]:
+    """Reduced row-echelon form over Q of integer rows; returns (rows,
+    pivot columns), each row primitive with a positive pivot.
 
     The one elimination routine of the library.  It is fraction-free in
-    the style of Bareiss (*Math. Comp.* 22, 1968): each row is scaled to
-    primitive integers, Gauss-Jordan runs on integer rows (each combined
-    row is divided by the gcd of its entries, which keeps them small), and
-    each row is divided by its pivot once at the end.  The reduced form
-    over Q is unique, so the result is the one any exact elimination gives.
+    the style of Bareiss (*Math. Comp.* 22, 1968): Gauss-Jordan runs with
+    integer row operations, and each combined row is divided by the gcd
+    of its entries, which keeps them small.  Each row of the reduced form
+    over Q has exactly one primitive multiple with a positive pivot, so
+    the result is canonical.
     """
-    work = [row for row in map(_primitive_ints, rows) if row is not None]
-    if not work:
-        return [], []
-    ncols = len(work[0])
+    work = [list(row) for row in rows if any(row)]
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(work[0]) if work else 0):
         pr = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pr is None:
             continue
@@ -261,38 +270,73 @@ def rref(rows: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
         r += 1
         if r == len(work):
             break
-    out = []
-    for row, c in zip(work, pivots):
-        p = row[c]
-        # zeros and entries equal to the pivot are common: share ZERO and ONE
-        out.append(tuple(
-            ZERO if not x else ONE if x == p else Fraction(x, p) for x in row
-        ))
-    return out, pivots
+    return tuple(map(_normalized, work, pivots)), tuple(pivots)
+
+
+def _fractions(row: Sequence[int], c: int) -> Vector:
+    """The integer row divided by its entry c."""
+    p = row[c]
+    # zeros and entries equal to the pivot are common: share ZERO and ONE
+    return tuple(ZERO if not x else ONE if x == p else Fraction(x, p) for x in row)
+
+
+def rref(rows: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
+    """Reduced row-echelon form over Q; returns (nonzero rows, pivot columns)."""
+    red, pivots = _reduce(filter(None, map(_primitive_ints, rows)))
+    return list(map(_fractions, red, pivots)), list(pivots)
+
+
+def _null_space(rows: Iterable[Sequence[int]], n: int) -> tuple[tuple, tuple[int, ...]]:
+    """Canonical rows and pivots of {v in Q^n : r.v = 0 for each integer row r}.
+
+    The elimination runs on the column-reversed rows.  There the textbook
+    null vector of a free column (1 there, minus the reduced rows' entries
+    at their pivots) has its last nonzero entry at that column and is zero
+    at the other free columns; reversed back, it is a canonical row.
+    """
+    red, piv = _reduce(r[::-1] for r in rows)
+    out, pivots = [], []
+    for k in range(n - 1, -1, -1):  # reversed column k is column n - 1 - k
+        if k in piv:
+            continue
+        above = [(row, c) for row, c in zip(red, piv) if row[k]]
+        l = lcm(*(row[c] for row, c in above))
+        v = [0] * n
+        v[n - 1 - k] = l
+        for row, c in above:
+            v[n - 1 - c] = -(l // row[c]) * row[k]
+        out.append(_normalized(v, n - 1 - k))
+        pivots.append(n - 1 - k)
+    return tuple(out), tuple(pivots)
 
 
 class Subspace:
     """Subspace of Q^n held as a reduced row-echelon basis.
 
     The representation is canonical: two subspaces are equal as sets iff
-    their basis matrices are identical.
+    their basis matrices are identical.  The basis is kept as integer rows,
+    each the primitive multiple of a reduced row with a positive pivot
+    (so it is zero at the other pivots); `basis`, over Q, is built from
+    them on first read.
     """
 
-    __slots__ = ("ambient", "basis", "pivots")
+    __slots__ = ("ambient", "pivots", "_rows", "_basis")
 
-    def __init__(self, ambient: int, basis: tuple[Vector, ...], pivots: tuple[int, ...]):
+    def __init__(self, ambient: int, rows: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]):
         self.ambient = ambient
-        self.basis = basis
         self.pivots = pivots
+        self._rows = rows
+        self._basis: tuple[Vector, ...] | None = None
 
     @classmethod
     def span(cls, ambient: int, vectors: Iterable[Vector]) -> "Subspace":
-        vs = [vec(v) for v in vectors]
-        for v in vs:
+        rows = []
+        for v in vectors:
+            v = vec(v)
             if len(v) != ambient:
                 raise DimensionMismatch("spanning vector has wrong length")
-        rows, pivots = rref(vs)
-        return cls(ambient, tuple(rows), tuple(pivots))
+            rows.append(_primitive_ints(v))
+        return cls(ambient, *_reduce(filter(None, rows)))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -300,11 +344,18 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls.span(ambient, [unit_vec(ambient, i) for i in range(ambient)])
+        rows = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(ambient))
+        return cls(ambient, rows, tuple(range(ambient)))
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        if self._basis is None:
+            self._basis = tuple(map(_fractions, self._rows, self.pivots))
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
 
     def is_full(self) -> bool:
         return self.dim == self.ambient
@@ -320,15 +371,22 @@ class Subspace:
         """
         if len(v) != self.ambient:
             raise DimensionMismatch("vector/ambient mismatch")
-        coeffs = tuple(v[p] for p in self.pivots)
-        if tuple(v) != combine(zip(coeffs, self.basis), self.ambient):
+        y = _primitive_ints(v)
+        if y is not None and not self._holds(y):
             return None
-        return coeffs
+        return tuple(v[p] for p in self.pivots)
+
+    def _holds(self, y: Sequence[int]) -> bool:
+        """Whether the integer vector y is the sum of the rows r times
+        y[p]/r[p] over their pivots p, i.e. lies in the space."""
+        l = lcm(*(r[p] for r, p in zip(self._rows, self.pivots)))
+        terms = ((y[p] * (l // r[p]), enumerate(r)) for r, p in zip(self._rows, self.pivots))
+        return _int_combine(terms, self.ambient) == [l * x for x in y]
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise DimensionMismatch("ambient dimension mismatch")
-        return Subspace.span(self.ambient, list(self.basis) + list(other.basis))
+        return Subspace(self.ambient, *_reduce(self._rows + other._rows))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the kernel of the stacked coefficient system."""
@@ -340,26 +398,34 @@ class Subspace:
             return self
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient)
-        # columns: basis of self, then basis of other, as column vectors;
-        # kernel elements (a | b) satisfy sum a_i u_i = sum b_j w_j
-        cols = [v for v in self.basis] + [vscale(-1, w) for w in other.basis]
-        m = Matrix.from_columns(cols, self.ambient)
-        # zip stops at self.dim: the a-part of each kernel vector
-        vectors = [
-            combine(zip(coeffs, self.basis), self.ambient)
-            for coeffs in kernel(m).basis
-        ]
-        return Subspace.span(self.ambient, vectors)
+        # the columns are self's rows, then other's negated: a kernel vector
+        # (a | b) has sum a_i u_i = sum b_j w_j, and b is fixed by a, so the
+        # pivots lie in the a-part and the a-parts are a canonical basis
+        minus = (tuple(-x for x in w) for w in other._rows)
+        return self._combination(_null_space(zip(*self._rows, *minus), self.dim + other.dim))
+
+    def _combination(self, coeffs: tuple[tuple, tuple[int, ...]]) -> "Subspace":
+        """The span of the combinations c.rows for the canonical (rows,
+        pivots) of coefficient vectors c (zip stops at dim).  The rows are
+        zero left of their pivots and at the other pivots, so each c.rows
+        is canonical already, with pivot self.pivots[t] for c's pivot t."""
+        rows, cpivots = coeffs
+        pivots = tuple(self.pivots[t] for t in cpivots)
+        n = self.ambient
+        return Subspace(n, tuple(
+            _normalized(_int_combine(zip(c, map(enumerate, self._rows)), n), p)
+            for c, p in zip(rows, pivots)
+        ), pivots)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
-            and self.basis == other.basis
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, self._rows))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of {self.ambient})"
@@ -367,19 +433,7 @@ class Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """Null space {v : Mv = 0} in canonical form."""
-    rows, pivots = rref(m.rows)
-    ncols = m.ncols
-    pivset = set(pivots)
-    basis = []
-    for j in range(ncols):
-        if j in pivset:
-            continue
-        v = [ZERO] * ncols
-        v[j] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -rows[r][j]
-        basis.append(tuple(v))
-    return Subspace.span(ncols, basis)
+    return Subspace(m.ncols, *_null_space(m._integer()[1], m.ncols))
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -533,30 +587,29 @@ def eigenspace(m: Matrix, lam, within: Subspace) -> Subspace:
     return _eigen_step(_images(m, within), Fraction(lam), within)
 
 
-def _images(m: Matrix, within: Subspace) -> list[Vector]:
-    """Mb for each basis vector b of `within`; M must be square on Q^n."""
+def _images(m: Matrix, within: Subspace) -> tuple[int, list[tuple[int, ...]]]:
+    """(D, the images (DM)r of the rows r of `within`) for M's integer form
+    (D, DM); M must be square on Q^n."""
     if m.nrows != m.ncols or m.ncols != within.ambient:
         raise DimensionMismatch("operator/subspace ambient mismatch")
-    return [m.apply(b) for b in within.basis]
+    d, dm = m._integer()
+    return d, [tuple(sum(map(mul, row, r)) for row in dm) for r in within._rows]
 
 
-def _eigen_step(images: Sequence[Vector], lam: Fraction, within: Subspace) -> Subspace:
-    """{v in within : Mv = lam v} from the images Mb of the basis of `within`.
+def _eigen_step(images: tuple, lam: Fraction, within: Subspace) -> Subspace:
+    """{v in within : Mv = lam v} from the images `_images(M, within)`.
 
-    The kernel of the system whose columns are (M - lam I)b = Mb - lam b,
-    combined back into Q^n.  The canonical basis of the whole space is the
-    identity, so there the kernel is the answer.
+    The kernel of the system whose columns are q(DM)r - pDr = qD(M - lam I)r
+    for lam = p/q, combined back into Q^n.  The rows of the whole space are
+    the identity, so there the kernel is the answer.
     """
-    n = within.ambient
-    cols = [
-        tuple(x - lam * y if y else x for x, y in zip(image, b))
-        for image, b in zip(images, within.basis)
-    ]
-    coeffs = kernel(Matrix.from_columns(cols, n))
+    d, ys = images
+    q, pd = lam.denominator, lam.numerator * d
+    cols = [[q * y - pd * x for y, x in zip(image, r)] for image, r in zip(ys, within._rows)]
+    coeffs = _null_space(zip(*cols), within.dim)
     if within.is_full():
-        return coeffs
-    vectors = [combine(zip(c, within.basis), n) for c in coeffs.basis]
-    return Subspace.span(n, vectors)
+        return Subspace(within.ambient, *coeffs)
+    return within._combination(coeffs)
 
 
 def common_eigenspace(
@@ -574,7 +627,7 @@ def common_eigenspace(
 
 def is_invariant(ops: Iterable[Matrix], space: Subspace) -> bool:
     """True iff every operator maps `space` into itself."""
-    return all(space.contains(op.apply(b)) for op in ops for b in space.basis)
+    return all(space._holds(y) for op in ops for y in _images(op, space)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -583,19 +636,18 @@ def is_invariant(ops: Iterable[Matrix], space: Subspace) -> bool:
 
 def restrict_operator(m: Matrix, s: Subspace) -> Matrix:
     """Matrix of M in the canonical basis of an M-invariant subspace."""
-    if m.ncols != s.ambient:
-        raise DimensionMismatch("operator/subspace ambient mismatch")
-    return _restricted([m.apply(b) for b in s.basis], s)
+    return _restricted(_images(m, s), s)
 
 
-def _restricted(images: Sequence[Vector], s: Subspace) -> Matrix:
-    """The restriction to s of the operator with images Mb of s's basis."""
+def _restricted(images: tuple, s: Subspace) -> Matrix:
+    """The restriction to s of M, from the images `_images(M, s)`: the
+    basis vector b = r/r[p] has Mb = (DM)r / (D r[p])."""
+    d, ys = images
     cols = []
-    for image in images:
-        c = s.coords(image)
-        if c is None:
+    for y, r, p in zip(ys, s._rows, s.pivots):
+        if not s._holds(y):
             raise NotInvariant("operator does not preserve the subspace")
-        cols.append(c)
+        cols.append([Fraction(y[q], d * r[p]) for q in s.pivots])
     return Matrix.from_columns(cols, s.dim)
 
 

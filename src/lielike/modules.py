@@ -13,6 +13,7 @@ algebra argument holds by construction.  The defining axioms are
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
 from .algebra import LieLikeAlgebra, _integer_constants
@@ -24,12 +25,12 @@ from .linalg import (
     _common_denominator,
     _int_combine,
     _int_matmul,
+    _reduce,
     _scaled_ints,
     _sparse,
     combine,
     inverse,
     is_invariant,
-    vscale,
 )
 
 OperatorFamily = tuple[tuple[Matrix, ...], ...]  # [k][i]
@@ -233,7 +234,7 @@ def adjoint(L: LieLikeAlgebra) -> OrdinaryModule:
         for i in range(n):
             # a -> -<a, e_i>_k has columns -c[k][j][i]
             fk.append(Matrix.from_columns(
-                [vscale(-1, L.c[k][j][i]) for j in range(n)], n))
+                [tuple(-x for x in L.c[k][j][i]) for j in range(n)], n))
             # a -> <e_i, a>_k has columns c[k][i][j]
             gk.append(Matrix.from_columns(list(L.c[k][i]), n))
         F.append(tuple(fk))
@@ -250,10 +251,14 @@ def plus_annihilator(M: OrdinaryModule) -> Subspace:
     """
     gens = []
     for i in range(M.algebra.dim):
-        f0 = M.F[0][i]
+        d0, f0 = M.F[0][i]._integer()
         for op in [*(gh[i] for gh in M.G), *(fk[i] for fk in M.F[1:])]:
-            gens.extend((op - f0).columns())
-    return Subspace.span(M.vdim, gens)
+            d, x = op._integer()
+            # the columns of lcm(d, d0) (op - f0), as integer rows
+            a, b = d0 // gcd(d, d0), d // gcd(d, d0)
+            gens.extend(zip(*([a * u - b * v for u, v in zip(r, s)]
+                              for r, s in zip(x, f0))))
+    return Subspace(M.vdim, *_reduce(gens))
 
 
 def is_submodule(M: OrdinaryModule, U: Subspace) -> bool:

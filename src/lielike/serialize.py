@@ -37,12 +37,30 @@ def scalar_from_str(s) -> Fraction:
         raise ValueError(f"scalar {s!r} has a zero denominator") from None
 
 
+def _scalar_parser():
+    """scalar_from_str for one algebra or module object: each distinct
+    string is parsed once, and equal strings share one Fraction.  Only
+    strings are memoized: as dict keys True and 1.0 equal 1, and both
+    must still be refused."""
+    memo: dict[str, Fraction] = {}
+
+    def parse(s) -> Fraction:
+        if type(s) is not str:
+            return scalar_from_str(s)
+        x = memo.get(s)
+        if x is None:
+            x = memo[s] = scalar_from_str(s)
+        return x
+
+    return parse
+
+
 def vector_to_json(v: Vector) -> list[str]:
     return [scalar_to_str(x) for x in v]
 
 
-def vector_from_json(obj, length: int) -> Vector:
-    v = vec(scalar_from_str(x) for x in obj)
+def vector_from_json(obj, length: int, parse) -> Vector:
+    v = vec(parse(x) for x in obj)
     if len(v) != length:
         raise ValueError(f"expected a vector of length {length}")
     return v
@@ -52,8 +70,8 @@ def matrix_to_json(m: Matrix) -> list[list[str]]:
     return [[scalar_to_str(x) for x in row] for row in m.rows]
 
 
-def matrix_from_json(obj, nrows: int, ncols: int) -> Matrix:
-    m = Matrix([scalar_from_str(x) for x in row] for row in obj)
+def matrix_from_json(obj, nrows: int, ncols: int, parse) -> Matrix:
+    m = Matrix([parse(x) for x in row] for row in obj)
     if (m.nrows, m.ncols) != (nrows, ncols):
         raise ValueError(f"expected a {nrows}x{ncols} matrix")
     return m
@@ -107,12 +125,13 @@ def algebra_to_json(L: LieLikeAlgebra) -> dict:
 def algebra_from_json(obj: Mapping) -> LieLikeAlgebra:
     n = _size(obj, "dim")
     s = _size(obj, "s")
+    parse = _scalar_parser()
     c = []
     for k, knode in enumerate(_sparse_entries(obj.get("c"), s, "c")):
         tk = []
         for i, inode in enumerate(_sparse_entries(knode, n, f"c[{k}]")):
             row = [
-                zero_vec(n) if entry is None else vector_from_json(entry, n)
+                zero_vec(n) if entry is None else vector_from_json(entry, n, parse)
                 for entry in _sparse_entries(inode, n, f"c[{k}][{i}]")
             ]
             tk.append(tuple(row))
@@ -130,12 +149,13 @@ def module_to_json(M: OrdinaryModule) -> dict:
 
 def module_from_json(obj: Mapping, algebra: LieLikeAlgebra) -> OrdinaryModule:
     m = _size(obj, "vdim")
+    parse = _scalar_parser()
 
     def family(name):
         fam = []
         for k, knode in enumerate(_sparse_entries(obj.get(name), algebra.s, name)):
             fam.append(tuple(
-                Matrix.zeros(m, m) if entry is None else matrix_from_json(entry, m, m)
+                Matrix.zeros(m, m) if entry is None else matrix_from_json(entry, m, m, parse)
                 for entry in _sparse_entries(knode, algebra.dim, f"{name}[{k}]")
             ))
         return tuple(fam)

@@ -132,18 +132,24 @@ def solve(L: LieLikeAlgebra, M: OrdinaryModule) -> SolveResult:
     Requires L solvable and M a valid module with vdim >= 1.  The output is
     deterministic, including the branch trace.
     """
+    return _checked_solve(L, M, None)
+
+
+def _checked_solve(L: LieLikeAlgebra, M: OrdinaryModule, ann: Subspace | None):
+    """`solve`, given M's plus annihilator when the caller has computed it
+    already (None: computed when needed)."""
     if M.vdim < 1:
         raise DimensionMismatch("solve needs a nonzero module")
     # an unsolvable L raises NotSolvable from split_codim1 at the first
     # level where D^2 = L, before any eigen-step
-    v, phi, psi, trace = _solve(L, M)
+    v, phi, psi, trace = _solve(L, M, ann)
     w = Weight(phi, psi)
     if not verify_weight(M, v, w):
         raise TheoremViolation("solver produced a vector that fails Eq (36)")
     return SolveResult(v, w, check_dichotomy(w), tuple(trace))
 
 
-def _solve(L: LieLikeAlgebra, M: OrdinaryModule):
+def _solve(L: LieLikeAlgebra, M: OrdinaryModule, ann: Subspace | None):
     n, s = L.dim, L.s
     if n == 0:
         empty: Grid = tuple(() for _ in range(s))
@@ -152,14 +158,15 @@ def _solve(L: LieLikeAlgebra, M: OrdinaryModule):
     A, x = split_codim1(L)
     LA = restrict_algebra(L, A)
     MA = restrict_module(M, A, LA)
-    v_rec, phi_rec, psi_rec, trace_rec = _solve(LA, MA)
+    v_rec, phi_rec, psi_rec, trace_rec = _solve(LA, MA, None)
     w_rec = Weight(phi_rec, psi_rec)
 
     U = weight_space(MA, w_rec)
     if U.dim == 0 or not U.contains(v_rec):
         raise TheoremViolation("recursive weight space lost its weight vector")
 
-    ann = plus_annihilator(M)
+    if ann is None:
+        ann = plus_annihilator(M)
     Fx = [M.f(k, x) for k in range(s)]
     Gx = [M.g(k, x) for k in range(s)]
     ext = _FunctionalExtender(A.basis, x)

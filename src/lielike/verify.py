@@ -19,8 +19,8 @@ from .modules import (
 from .serialize import result_to_json, vector_to_json
 from .solver import (
     DICHOTOMY_VIOLATION,
+    _checked_solve,
     oracle_solve,
-    solve,
     verify_weight,
 )
 
@@ -76,7 +76,7 @@ def run_verify(L: LieLikeAlgebra, M: OrdinaryModule) -> tuple[dict, int]:
         return report, EXIT_VIOLATION
 
     try:
-        result = solve(L, M)
+        result = _checked_solve(L, M, ann)
     except NonSplitSpectrum as exc:
         checks["solve"] = {"ok": False, "error": str(exc)}
         return report, EXIT_INVALID

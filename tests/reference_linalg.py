@@ -69,3 +69,54 @@ def rank(m: Matrix) -> int:
 def scalar_matrix(n: int, c) -> Matrix:
     """c times the n x n identity, written out entry by entry."""
     return Matrix([[F(c) if i == j else F(0) for j in range(n)] for i in range(n)])
+
+
+# Textbook subspace operations over Fraction rows.  Each subspace is a pair
+# (basis rows, pivots) from reference_rref; every result is re-spanned.
+
+def apply(m: Matrix, v) -> tuple:
+    return tuple(sum((x * y for x, y in zip(row, v)), F(0)) for row in m.rows)
+
+
+def null_vectors(rows, ncols: int) -> list[tuple]:
+    """One vector per free column j of the reduced rows: 1 at j, minus the
+    reduced rows' entries in column j at their pivots."""
+    red, pivots = reference_rref(rows)
+    out = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [F(0)] * ncols
+        v[j] = F(1)
+        for row, p in zip(red, pivots):
+            v[p] = -row[j]
+        out.append(tuple(v))
+    return out
+
+
+def combinations(coeff_rows, basis, n: int) -> list[tuple]:
+    """sum c_i b_i for each coefficient row c (zip stops at len(basis))."""
+    return [
+        tuple(sum((c * b[j] for c, b in zip(coeffs, basis)), F(0)) for j in range(n))
+        for coeffs in coeff_rows
+    ]
+
+
+def reference_kernel(m: Matrix):
+    return reference_rref(null_vectors(m.rows, m.ncols))
+
+
+def reference_intersect(a_basis, b_basis, n: int):
+    """Kernel of the system with columns a_i, then -b_j: its a-parts
+    combine the a_i into the intersection."""
+    cols = list(a_basis) + [tuple(-x for x in w) for w in b_basis]
+    rows = [tuple(col[i] for col in cols) for i in range(n)]
+    return reference_rref(combinations(null_vectors(rows, len(cols)), a_basis, n))
+
+
+def reference_eigenspace(m: Matrix, lam, w_basis, n: int):
+    """{v in span(w_basis) : Mv = lam v}: the kernel of the system with
+    columns Mb - lam b, combined back into Q^n."""
+    cols = [tuple(x - lam * y for x, y in zip(apply(m, b), b)) for b in w_basis]
+    rows = [tuple(col[i] for col in cols) for i in range(n)]
+    return reference_rref(combinations(null_vectors(rows, len(cols)), w_basis, n))

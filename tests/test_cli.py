@@ -1,7 +1,10 @@
 import gc
 import json
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lielike import algebra as algebra_module
 from lielike import cli, serialize
@@ -328,6 +331,46 @@ class TestMalformedScalars:
         path.write_text(json.dumps(obj))
         code, _ = run(capsys, "verify", str(path))
         assert code == 0
+
+
+scalar_strings = st.one_of(
+    st.fractions(max_denominator=50).map(str),
+    st.sampled_from(["0", "-0", "1", "2/4", "+5/10", " 3", "007", "1.5", "1e2"]),
+)
+
+
+class TestScalarMemo:
+    """Each distinct scalar string is parsed once per algebra or module."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda m: st.lists(scalar_strings, min_size=2 * m * m, max_size=2 * m * m)))
+    def test_entries_equal_fraction_of_their_string(self, strings):
+        m = round((len(strings) // 2) ** 0.5)
+        rows = [strings[r * m:(r + 1) * m] for r in range(2 * m)]
+        obj = {"algebra": {"dim": 1, "s": 1},
+               "module": {"vdim": m, "F": [[rows[:m]]], "G": [[rows[m:]]]}}
+        _, M, _ = serialize.instance_from_json(obj)
+        entries = [x for op in (M.F[0][0], M.G[0][0]) for row in op.rows for x in row]
+        assert entries == [F(s) for s in strings]
+        assert all(type(x) is F for x in entries)
+        shared = {}
+        for s, x in zip(strings, entries):
+            assert shared.setdefault(s, x) is x  # equal strings, one Fraction
+
+    def test_repeated_malformed_scalar_still_raises(self):
+        parse = serialize._scalar_parser()
+        assert parse("1") == 1 and parse(1) == 1
+        for bad in ("1/0", "1/0", True, True, 1.0, 1.0, "x", "x"):
+            with pytest.raises(ValueError):
+                parse(bad)
+
+    def test_memo_is_per_object(self, leib2):
+        obj = instance_to_json(leib2, adjoint(leib2))
+        _, M1, _ = serialize.instance_from_json(obj)
+        _, M2, _ = serialize.instance_from_json(obj)
+        assert M1 == M2
+        assert M1.F[0][1].rows[0][0] is not M2.F[0][1].rows[0][0]
 
 
 class TestMalformedSizes:

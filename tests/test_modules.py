@@ -204,7 +204,7 @@ def s_squared_annihilator(M):
     gens = [
         col
         for gh in M.G for fk in M.F for g, f in zip(gh, fk)
-        for col in (g - f).columns()
+        for col in zip(*(g - f).rows)
     ]
     return Subspace.span(M.vdim, gens)
 

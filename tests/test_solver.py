@@ -21,6 +21,8 @@ from lielike import (
     is_solvable,
     normalizer_invariance_check,
     oracle_solve,
+    plus_annihilator,
+    run_verify,
     solve,
     split_codim1,
     split_setup,
@@ -28,6 +30,7 @@ from lielike import (
     verify_weight,
     weight_space,
 )
+from lielike import solver, verify
 from lielike.linalg import vec
 
 F = Fraction
@@ -333,3 +336,34 @@ class TestKnownProofGap:
         res = solve(L, adjoint(L))
         assert verify_weight(adjoint(L), res.v, res.weight)
         assert res.dichotomy == "phi-equals-psi"
+
+
+class TestAnnihilatorOnce:
+    """run_verify hands its plus annihilator to the solver's top level."""
+
+    @pytest.fixture
+    def annihilated(self, monkeypatch):
+        modules_seen = []
+
+        def counted(M):
+            modules_seen.append(M)
+            return plus_annihilator(M)
+
+        monkeypatch.setattr(verify, "plus_annihilator", counted)
+        monkeypatch.setattr(solver, "plus_annihilator", counted)
+        return modules_seen
+
+    @pytest.mark.parametrize("name", ["leib2", "nt3", "aff2"])
+    def test_once_per_module(self, annihilated, name, request):
+        L = request.getfixturevalue(name)
+        M = adjoint(L)
+        report, code = run_verify(L, M)
+        assert code == 0 and report["checks"]["solve"]["ok"]
+        assert sum(m is M for m in annihilated) == 1
+        # each inner level with a nonzero algebra still computes its own
+        assert len(annihilated) == L.dim
+
+    def test_solve_alone_computes_it(self, annihilated, nt3):
+        M = adjoint(nt3)
+        solve(nt3, M)
+        assert sum(m is M for m in annihilated) == 1
