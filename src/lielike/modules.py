@@ -253,11 +253,11 @@ def plus_annihilator(M: OrdinaryModule) -> Subspace:
     for i in range(M.algebra.dim):
         d0, f0 = M.F[0][i]._integer()
         for op in [*(gh[i] for gh in M.G), *(fk[i] for fk in M.F[1:])]:
-            d, x = op._integer()
+            d, rows = op._integer()
             # the columns of lcm(d, d0) (op - f0), as integer rows
             a, b = d0 // gcd(d, d0), d // gcd(d, d0)
-            gens.extend(zip(*([a * u - b * v for u, v in zip(r, s)]
-                              for r, s in zip(x, f0))))
+            gens.extend(zip(*([a * u - b * v for u, v in zip(r, r0)]
+                              for r, r0 in zip(rows, f0))))
     return Subspace(M.vdim, *_reduce(gens))
 
 
