@@ -111,32 +111,32 @@ def reference_joint_eigenspace(family, within):
 
 
 class TestMatchesReference:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(row_lists())
     def test_span(self, rows):
         n = len(rows[0]) if rows else 3
         assert_matches(Subspace.span(n, rows), reference_rref(rows))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(row_matrices())
     def test_kernel(self, M):
         assert_matches(kernel(M), reference_kernel(M))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(row_list_pairs())
     def test_add(self, case):
         n, a, b = case
         A, B = Subspace.span(n, a), Subspace.span(n, b)
         assert_matches(A.add(B), reference_rref(a + b))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(row_list_pairs())
     def test_intersect(self, case):
         n, a, b = case
         A, B = Subspace.span(n, a), Subspace.span(n, b)
         assert_matches(A.intersect(B), reference_intersect(A.basis, B.basis, n))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(eigen_inputs())
     def test_eigenspace(self, case):
         M, lam, within = case
@@ -144,7 +144,7 @@ class TestMatchesReference:
         expected = reference_eigenspace(M, lam, within.basis, n)
         assert_matches(eigenspace(M, lam, within), expected)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(joint_cases())
     def test_joint_eigenspace(self, case):
         family, within = case
@@ -165,7 +165,7 @@ class TestMatchesReference:
 
 
 class TestEquality:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(row_list_pairs(n_max=4))
     def test_eq_and_hash_follow_the_basis(self, case):
         n, a, b = case
