@@ -296,17 +296,18 @@ def _null_space(rows: Iterable[Sequence[int]], n: int) -> tuple[tuple, tuple[int
     """
     red, piv = _reduce(r[::-1] for r in rows)
     out, pivots = [], []
-    for k in range(n - 1, -1, -1):  # reversed column k is column n - 1 - k
+    for k in range(n - 1, -1, -1):
         if k in piv:
             continue
+        j = n - 1 - k  # reversed column k is column j
         above = [(row, c) for row, c in zip(red, piv) if row[k]]
         l = lcm(*(row[c] for row, c in above))
         v = [0] * n
-        v[n - 1 - k] = l
+        v[j] = l
         for row, c in above:
             v[n - 1 - c] = -(l // row[c]) * row[k]
-        out.append(_normalized(v, n - 1 - k))
-        pivots.append(n - 1 - k)
+        out.append(_normalized(v, j))
+        pivots.append(j)
     return tuple(out), tuple(pivots)
 
 
@@ -322,7 +323,9 @@ class Subspace:
 
     __slots__ = ("ambient", "pivots", "_rows", "_basis")
 
-    def __init__(self, ambient: int, rows: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]):
+    def __init__(
+        self, ambient: int, rows: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]
+    ):
         self.ambient = ambient
         self.pivots = pivots
         self._rows = rows
@@ -380,7 +383,9 @@ class Subspace:
         """Whether the integer vector y is the sum of the rows r times
         y[p]/r[p] over their pivots p, i.e. lies in the space."""
         l = lcm(*(r[p] for r, p in zip(self._rows, self.pivots)))
-        terms = ((y[p] * (l // r[p]), enumerate(r)) for r, p in zip(self._rows, self.pivots))
+        terms = (
+            (y[p] * (l // r[p]), enumerate(r)) for r, p in zip(self._rows, self.pivots)
+        )
         return _int_combine(terms, self.ambient) == [l * x for x in y]
 
     def add(self, other: "Subspace") -> "Subspace":
@@ -402,7 +407,8 @@ class Subspace:
         # (a | b) has sum a_i u_i = sum b_j w_j, and b is fixed by a, so the
         # pivots lie in the a-part and the a-parts are a canonical basis
         minus = (tuple(-x for x in w) for w in other._rows)
-        return self._combination(_null_space(zip(*self._rows, *minus), self.dim + other.dim))
+        coeffs = _null_space(zip(*self._rows, *minus), self.dim + other.dim)
+        return self._combination(coeffs)
 
     def _combination(self, coeffs: tuple[tuple, tuple[int, ...]]) -> "Subspace":
         """The span of the combinations c.rows for the canonical (rows,
@@ -605,7 +611,9 @@ def _eigen_step(images: tuple, lam: Fraction, within: Subspace) -> Subspace:
     """
     d, ys = images
     q, pd = lam.denominator, lam.numerator * d
-    cols = [[q * y - pd * x for y, x in zip(image, r)] for image, r in zip(ys, within._rows)]
+    cols = [
+        [q * y - pd * x for y, x in zip(image, r)] for image, r in zip(ys, within._rows)
+    ]
     coeffs = _null_space(zip(*cols), within.dim)
     if within.is_full():
         return Subspace(within.ambient, *coeffs)

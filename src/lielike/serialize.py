@@ -155,7 +155,8 @@ def module_from_json(obj: Mapping, algebra: LieLikeAlgebra) -> OrdinaryModule:
         fam = []
         for k, knode in enumerate(_sparse_entries(obj.get(name), algebra.s, name)):
             fam.append(tuple(
-                Matrix.zeros(m, m) if entry is None else matrix_from_json(entry, m, m, parse)
+                Matrix.zeros(m, m) if entry is None
+                else matrix_from_json(entry, m, m, parse)
                 for entry in _sparse_entries(knode, algebra.dim, f"{name}[{k}]")
             ))
         return tuple(fam)
