@@ -1,8 +1,8 @@
 """Exact rational linear algebra: vectors, matrices, canonical subspaces,
 rational eigen-computations, and joint-eigenvector search.
 
-Everything is built on ``fractions.Fraction``; no floating point appears
-anywhere.  All values are immutable after construction and every operation
+Values are ``fractions.Fraction``, and eliminations run on integer rows;
+no floating point appears anywhere.  All values are immutable after construction and every operation
 is a pure function of its inputs.
 """
 
