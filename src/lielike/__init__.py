@@ -5,7 +5,6 @@ from .algebra import (
     AlgebraViolation,
     LieLikeAlgebra,
     bracket,
-    check_algebra,
     derived_algebra,
     derived_series,
     is_ideal,
@@ -46,6 +45,7 @@ from .modules import (
     OrdinaryModule,
     adjoint,
     change_basis,
+    check_algebra,
     check_derived_identities,
     check_module,
     direct_sum,

@@ -12,25 +12,10 @@ and the index-swap identity <<x,y>_k, z>_h = <<x,y>_h, z>_k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatch, NotClosed, NotSolvable
-from .linalg import (
-    Subspace,
-    Vector,
-    _common_denominator,
-    _int_combine,
-    _int_matmul,
-    _scaled_ints,
-    _sparse,
-    combine,
-    unit_vec,
-    vadd,
-    vec,
-    vsub,
-    zero_vec,
-)
+from .linalg import Subspace, Vector, combine, unit_vec, vec, zero_vec
 
 Tensor = tuple[tuple[Vector, ...], ...]  # [i][j] -> coordinate vector
 
@@ -94,92 +79,6 @@ def bracket(L: LieLikeAlgebra, x: Vector, y: Vector, k: int) -> Vector:
         for j, yj in enumerate(y) if yj
     )
     return combine(terms, L.dim)
-
-
-def _integer_constants(L: LieLikeAlgebra) -> tuple[int, list]:
-    """(E, C): E the lcm of the structure constants' denominators and
-    C[k][i][j] = E*c[k][i][j] as a tuple of int."""
-    e = _common_denominator(x for tk in L.c for ti in tk for v in ti for x in v)
-    return e, [[[_scaled_ints(v, e) for v in ti] for ti in tk] for tk in L.c]
-
-
-def check_algebra(L: LieLikeAlgebra) -> list[AlgebraViolation]:
-    """All violations of the defining identities on basis triples.
-
-    By multilinearity an empty result implies the identities for all
-    x, y, z.  The structure constants are scaled by E, the lcm of their
-    denominators, and each identity is compared for all l at once as a
-    list of int (both sides carry the factor E^2):
-
-        <c[k][i][j], e_l>_h            the right multiplications by e_l
-        <e_i, c[h][j][l]>_k            the left multiplication by e_i
-        <c[h][i][l], e_j>_k            the right multiplication by e_j
-
-    Only at a failing (i, j, l, k, h) is the exact residual computed.
-    """
-    violations = []
-    n, s = L.dim, L.s
-    _, C = _integer_constants(L)
-    # left[k][i] has rows <e_i, e_a>_k and right[k][j] rows <e_a, e_j>_k, so
-    # a row vector v times them is <e_i, v>_k and <v, e_j>_k
-    left = [[tuple(_sparse(v) for v in ti) for ti in tk] for tk in C]
-    right = [
-        [tuple(_sparse(C[k][a][j]) for a in range(n)) for j in range(n)]
-        for k in range(s)
-    ]
-    # images[h][a]: <e_a, e_l>_h for l = 0..n-1, concatenated
-    images = [
-        [_sparse(x for v in C[h][a] for x in v) for a in range(n)]
-        for h in range(s)
-    ]
-    outer: dict[tuple, list[int]] = {}
-
-    def times_all(w, h):
-        """<w, e_l>_h for l = 0..n-1, concatenated."""
-        key = (h, w)
-        if key not in outer:
-            outer[key] = _int_combine(zip(w, images[h]), n * n)
-        return outer[key]
-
-    for k in range(s):
-        for h in range(s):
-            for i in range(n):
-                for j in range(n):
-                    lhs = times_all(C[k][i][j], h)
-                    rhs = list(map(add, _int_matmul(left[h][j], left[k][i], n),
-                                   _int_matmul(left[h][i], right[k][j], n)))
-                    # swap identity is symmetric in (k, h)
-                    other = times_all(C[h][i][j], k) if h < k else lhs
-                    if lhs == rhs and lhs == other:
-                        continue
-                    for l in range(n):
-                        row = slice(l * n, l * n + n)
-                        if lhs[row] != rhs[row]:
-                            violations.append(AlgebraViolation(
-                                "jacobi-like", (i, j, l, k, h),
-                                _jacobi_residual(L, i, j, l, k, h)))
-                        if lhs[row] != other[row]:
-                            violations.append(AlgebraViolation(
-                                "index-swap", (i, j, l, k, h),
-                                _swap_residual(L, i, j, l, k, h)))
-    return violations
-
-
-def _jacobi_residual(L: LieLikeAlgebra, i, j, l, k, h) -> Vector:
-    """<<e_i,e_j>_k, e_l>_h - <e_i, <e_j,e_l>_h>_k - <<e_i,e_l>_h, e_j>_k."""
-    c, n = L.c, L.dim
-    lhs = bracket(L, c[k][i][j], unit_vec(n, l), h)
-    rhs = vadd(
-        bracket(L, unit_vec(n, i), c[h][j][l], k),
-        bracket(L, c[h][i][l], unit_vec(n, j), k),
-    )
-    return vsub(lhs, rhs)
-
-
-def _swap_residual(L: LieLikeAlgebra, i, j, l, k, h) -> Vector:
-    """<<e_i,e_j>_k, e_l>_h - <<e_i,e_j>_h, e_l>_k."""
-    el = unit_vec(L.dim, l)
-    return vsub(bracket(L, L.c[k][i][j], el, h), bracket(L, L.c[h][i][j], el, k))
 
 
 def is_trivial(L: LieLikeAlgebra) -> tuple[bool, tuple[int, tuple] | None]:

@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import serialize
-from .algebra import check_algebra, derived_series
+from .algebra import derived_series
 from .errors import (
     DimensionMismatch,
     LieLikeError,
@@ -26,16 +26,18 @@ from .errors import (
     TheoremViolation,
 )
 from .generate import CONSTRUCTIONS, GeneratorSpec, generate
-from .modules import adjoint, check_module, plus_annihilator
+from .modules import adjoint, check_algebra, check_module, plus_annihilator
 from .solver import oracle_solve, solve
 from .verify import EXIT_INVALID, EXIT_VIOLATION, run_verify
 
 
 def _load_json(path: str):
+    # ValueError covers bad JSON, bytes that are not UTF-8 and integers too
+    # long to convert; RecursionError covers arrays nested too deeply
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
 
@@ -76,6 +78,20 @@ def _first_violation(L, M) -> str | None:
         v = mod_violations[0]
         return f"module axiom {v.axiom} fails at (k,h,i,j)={v.witness}"
     return None
+
+
+def _write(text: str, output: str | None) -> int:
+    """Print text, or write it to the file named by output."""
+    if not output:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return _fail(f"cannot write {output}: {exc}", EXIT_INVALID)
+    print(f"wrote {output}")
+    return 0
 
 
 def _emit(payload: dict, as_json: bool, lines) -> None:
@@ -167,14 +183,7 @@ def cmd_annihilator(args) -> int:
 def cmd_adjoint(args) -> int:
     L = _load_algebra(args.file)
     M = adjoint(L)
-    text = serialize.dumps(serialize.instance_to_json(L, M))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write(serialize.dumps(serialize.instance_to_json(L, M)), args.output)
 
 
 def cmd_solve(args) -> int:
@@ -258,13 +267,7 @@ def cmd_generate(args) -> int:
     text = serialize.dumps(
         serialize.instance_to_json(inst.algebra, inst.module, inst.metadata)
     )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write(text, args.output)
 
 
 # built once per process: parsing leaves the parser as it was

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from .algebra import LieLikeAlgebra, bracket
 from .linalg import Matrix, inverse, vec
 from .modules import OrdinaryModule, adjoint, change_basis, direct_sum
+from .serialize import MAX_SIZE
 
 CONSTRUCTIONS = (
     "abelian",
@@ -46,6 +47,11 @@ class GeneratorSpec:
             raise ValueError(f"unknown construction {self.construction!r}")
         if self.dim < 0 or self.s < 1 or self.coefficient_bound < 1:
             raise ValueError("need dim >= 0, s >= 1, coefficient_bound >= 1")
+        # every generated file must load again: vdim is 2*dim for direct-sum
+        limit = MAX_SIZE // 2 if self.construction == "direct-sum" else MAX_SIZE
+        if self.dim > limit or self.s > MAX_SIZE:
+            raise ValueError(
+                f"{self.construction} needs dim <= {limit} and s <= {MAX_SIZE}")
 
 
 @dataclass(frozen=True)

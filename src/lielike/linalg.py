@@ -77,9 +77,9 @@ def combine(terms: Iterable[tuple], n: int) -> Vector:
     return tuple(acc)
 
 
-# The axiom checks scale rational data by a common denominator and compare
-# rows of int; these helpers stay private to them, and every residual they
-# report is still built as an exact Matrix or Vector.
+# Matrix._integer, the subspaces and the axiom checks' product table scale
+# rational data by a common denominator and work on rows of int; these
+# helpers stay private to them.
 
 def _common_denominator(values: Iterable) -> int:
     """The lcm of the denominators (1 for no values)."""
@@ -88,6 +88,8 @@ def _common_denominator(values: Iterable) -> int:
 
 def _scaled_ints(values: Iterable, d: int) -> tuple[int, ...]:
     """d*x for each x; d must be a multiple of every denominator."""
+    if d == 1:
+        return tuple(x.numerator for x in values)
     return tuple(x.numerator * (d // x.denominator) for x in values)
 
 

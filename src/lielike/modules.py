@@ -8,15 +8,19 @@ algebra argument holds by construction.  The defining axioms are
     g_h(<x,y>_k) = [g_h(x), f_k(y)]                       (left maps)
     g_k(x)g_h(y) = g_h(x)f_k(y) = g_k(x)f_h(y)
     f_k(x)f_h(y) = f_h(x)f_k(y),  f_k(x)g_h(y) = f_h(x)g_k(y)
+
+The algebra's own identities are checked here too: check_algebra reads
+them off the product table of the adjoint module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
-from .algebra import LieLikeAlgebra, _integer_constants
+from .algebra import AlgebraViolation, LieLikeAlgebra
 from .errors import DimensionMismatch
 from .linalg import (
     Matrix,
@@ -90,22 +94,25 @@ class _ProductTable:
     """Integer images of one module's operators, for the life of one check.
 
     Every operator X is held as X' = D*X, D the lcm of all operator
-    denominators, and every structure constant w as E*w, E the lcm of
-    theirs; equal operators and equal constants share one index.  Products
-    X'Y' (D^2 XY) and combinations D * sum_l (E w_l) X'_l (D^2 E sum_l w_l X_l)
-    are computed on first use and kept.
+    denominators, read off its own integer form d*X as (D/d)(d*X); every
+    structure constant w is held as E*w, E the lcm of theirs.  Equal
+    operators and equal constants share one index.  Products X'Y' (D^2 XY)
+    and combinations D * sum_l (E w_l) X'_l (D^2 E sum_l w_l X_l) are
+    computed on first use and kept.
     """
 
     def __init__(self, M: OrdinaryModule):
-        ops = [op for fam in (M.F, M.G) for fk in fam for op in fk]
-        self.d = d = _common_denominator(x for op in ops for r in op.rows for x in r)
-        self.e, C = _integer_constants(M.algebra)
+        fams = (M.F, M.G)
+        self.d = d = lcm(*(op._integer()[0] for fam in fams for fk in fam for op in fk))
         self.rows: list[tuple] = []  # sparse rows of each distinct X'
         self.flat: list[tuple] = []  # sparse row-major entries of each X'
         op_ids: dict[tuple, int] = {}
 
         def op_index(op: Matrix) -> int:
-            key = tuple(_scaled_ints(r, d) for r in op.rows)
+            dx, key = op._integer()
+            if dx != d:
+                f = d // dx
+                key = tuple(tuple(f * x for x in r) for r in key)
             if key not in op_ids:
                 op_ids[key] = len(self.rows)
                 self.rows.append(tuple(_sparse(r) for r in key))
@@ -114,12 +121,15 @@ class _ProductTable:
 
         # ops[0][k][i] indexes F[k][i], ops[1][k][i] indexes G[k][i]
         self.ops = tuple(
-            tuple(tuple(op_index(op) for op in fk) for fk in fam)
-            for fam in (M.F, M.G))
+            tuple(tuple(op_index(op) for op in fk) for fk in fam) for fam in fams)
+        L = M.algebra
+        self.e = e = _common_denominator(
+            x for tk in L.c for ti in tk for w in ti for x in w)
         w_ids: dict[tuple, int] = {}
         self.c = tuple(
-            tuple(tuple(w_ids.setdefault(w, len(w_ids)) for w in ti) for ti in tk)
-            for tk in C)
+            tuple(tuple(w_ids.setdefault(_scaled_ints(w, e), len(w_ids)) for w in ti)
+                  for ti in tk)
+            for tk in L.c)
         self.w = list(w_ids)  # each distinct E*w, by index
         self.m = M.vdim
         self._products: dict[tuple[int, int], list[int]] = {}
@@ -132,10 +142,10 @@ class _ProductTable:
             self._products[key] = _int_matmul(self.rows[x], self.rows[y], self.m)
         return self._products[key]
 
-    def commutator(self, x: int, y: int) -> list[int]:
-        """E * (X'Y' - Y'X'), on the scale of `combo`."""
+    def difference(self, x: int, y: int, z: int, u: int) -> list[int]:
+        """E * (X'Y' - Z'U'), on the scale of `combo`."""
         e = self.e
-        return [e * (a - b) for a, b in zip(self.product(x, y), self.product(y, x))]
+        return [e * (a - b) for a, b in zip(self.product(x, y), self.product(z, u))]
 
     def combo(self, fam: int, h: int, w: int) -> list[int]:
         """D * sum_l (E w_l) X'_l over X'_l = ops[fam][h][l], row-major."""
@@ -146,58 +156,85 @@ class _ProductTable:
             self._combos[key] = _int_combine(terms, self.m * self.m)
         return self._combos[key]
 
-
-# the module axioms in the order check_module lists them at one (k, h, i, j)
-_AXIOMS = ("eq-1.3", "eq-1.4", "eq-1.5", "eq-1.5", "eq-1.6a", "eq-1.6b")
-
-
-def _residuals(M: OrdinaryModule, k: int, h: int, i: int, j: int) -> tuple:
-    """The exact residual of each of _AXIOMS at (k, h, i, j), deferred."""
-    F, G, w = M.F, M.G, M.algebra.c[k][i][j]
-    return (
-        lambda: M.f(h, w) - (F[h][i] @ F[k][j] - F[k][j] @ F[h][i]),
-        lambda: M.g(h, w) - (G[h][i] @ F[k][j] - F[k][j] @ G[h][i]),
-        lambda: G[k][i] @ G[h][j] - G[h][i] @ F[k][j],
-        lambda: G[h][i] @ F[k][j] - G[k][i] @ F[h][j],
-        lambda: F[k][i] @ F[h][j] - F[h][i] @ F[k][j],
-        lambda: F[k][i] @ G[h][j] - F[h][i] @ G[k][j],
-    )
+    def residual(self, a: Sequence[int], b: Sequence[int], e: int) -> Vector:
+        """(A - B) / (D^2 e) entrywise: the exact difference of two rows that
+        carry the scale D^2 e (e = E for a combination, 1 for a product)."""
+        scale = self.d * self.d * e
+        return tuple(Fraction(x - y, scale) for x, y in zip(a, b))
 
 
 def check_module(M: OrdinaryModule) -> list[ModuleViolation]:
     """All axiom violations on basis pairs; empty iff M is a module.
 
-    Each axiom is compared as a row of int over one _ProductTable; only
-    a failing axiom gets its exact residual.
+    Both sides of each axiom are rows of int over one _ProductTable, and
+    a failing axiom's exact residual is read off the same two rows.
     """
     L = M.algebra
-    n, s = L.dim, L.s
+    m = M.vdim
     t = _ProductTable(M)
-    (F, G), c, P = t.ops, t.c, t.product
+    (F, G), c, P, e = t.ops, t.c, t.product, t.e
     out = []
-    for k in range(s):
-        for h in range(s):
-            for i in range(n):
-                for j in range(n):
+    for k in range(L.s):
+        for h in range(L.s):
+            for i in range(L.dim):
+                for j in range(L.dim):
                     # each shared by two axioms
                     fhi_fkj = P(F[h][i], F[k][j])
                     ghi_fkj = P(G[h][i], F[k][j])
-                    holds = (
-                        t.combo(0, h, c[k][i][j]) == t.commutator(F[h][i], F[k][j]),
-                        t.combo(1, h, c[k][i][j]) == t.commutator(G[h][i], F[k][j]),
-                        P(G[k][i], G[h][j]) == ghi_fkj,
-                        ghi_fkj == P(G[k][i], F[h][j]),
-                        P(F[k][i], F[h][j]) == fhi_fkj,
-                        P(F[k][i], G[h][j]) == P(F[h][i], G[k][j]),
+                    sides = (
+                        ("eq-1.3", t.combo(0, h, c[k][i][j]),
+                         t.difference(F[h][i], F[k][j], F[k][j], F[h][i]), e),
+                        ("eq-1.4", t.combo(1, h, c[k][i][j]),
+                         t.difference(G[h][i], F[k][j], F[k][j], G[h][i]), e),
+                        ("eq-1.5", P(G[k][i], G[h][j]), ghi_fkj, 1),
+                        ("eq-1.5", ghi_fkj, P(G[k][i], F[h][j]), 1),
+                        ("eq-1.6a", P(F[k][i], F[h][j]), fhi_fkj, 1),
+                        ("eq-1.6b", P(F[k][i], G[h][j]), P(F[h][i], G[k][j]), 1),
                     )
-                    if all(holds):
+                    for axiom, a, b, scale in sides:
+                        if a != b:
+                            r = t.residual(a, b, scale)
+                            out.append(ModuleViolation(axiom, (k, h, i, j), Matrix(
+                                r[p:p + m] for p in range(0, m * m, m))))
+    return out
+
+
+def check_algebra(L: LieLikeAlgebra) -> list[AlgebraViolation]:
+    """All violations of the defining identities on basis triples.
+
+    By multilinearity an empty result implies the identities for all
+    x, y, z.  Both identities are read off the _ProductTable of the adjoint
+    module, where G_k(x) = <x,.>_k and F_k(y) = -<.,y>_k: column l of
+
+        G_h(<e_i,e_j>_k)                     is <<e_i,e_j>_k, e_l>_h,
+        G_k(e_i)G_h(e_j) - F_k(e_j)G_h(e_i)  is <e_i,<e_j,e_l>_h>_k
+                                                + <<e_i,e_l>_h, e_j>_k,
+        G_k(<e_i,e_j>_h)                     is <<e_i,e_j>_h, e_l>_k,
+
+    so a failing column l is the Jacobi-like (first two) or index-swap
+    (first and last) identity at (i, j, l, k, h).
+    """
+    n = L.dim
+    t = _ProductTable(adjoint(L))
+    (F, G), c = t.ops, t.c
+    out = []
+    for k in range(L.s):
+        for h in range(L.s):
+            for i in range(n):
+                for j in range(n):
+                    lhs = t.combo(1, h, c[k][i][j])
+                    rhs = t.difference(G[k][i], G[h][j], F[k][j], G[h][i])
+                    # the swap identity is symmetric in (k, h)
+                    other = t.combo(1, k, c[h][i][j]) if h < k else lhs
+                    if lhs == rhs and lhs == other:
                         continue
-                    residuals = _residuals(M, k, h, i, j)
-                    out.extend(
-                        ModuleViolation(axiom, (k, h, i, j), residual())
-                        for axiom, residual, ok in zip(_AXIOMS, residuals, holds)
-                        if not ok
-                    )
+                    for l in range(n):
+                        a = lhs[l::n]
+                        for identity, b in (("jacobi-like", rhs[l::n]),
+                                            ("index-swap", other[l::n])):
+                            if a != b:
+                                out.append(AlgebraViolation(
+                                    identity, (i, j, l, k, h), t.residual(a, b, t.e)))
     return out
 
 
@@ -228,18 +265,15 @@ def check_derived_identities(M: OrdinaryModule) -> Report:
 def adjoint(L: LieLikeAlgebra) -> OrdinaryModule:
     """The adjoint module (L, -r_k, l_k) on the algebra itself."""
     n = L.dim
-    F, G = [], []
-    for k in range(L.s):
-        fk, gk = [], []
-        for i in range(n):
-            # a -> -<a, e_i>_k has columns -c[k][j][i]
-            fk.append(Matrix.from_columns(
-                [tuple(-x for x in L.c[k][j][i]) for j in range(n)], n))
-            # a -> <e_i, a>_k has columns c[k][i][j]
-            gk.append(Matrix.from_columns(list(L.c[k][i]), n))
-        F.append(tuple(fk))
-        G.append(tuple(gk))
-    return OrdinaryModule(L, n, tuple(F), tuple(G))
+    # rows are the transposed columns; zero entries are shared, not negated
+    F = tuple(
+        # a -> -<a, e_i>_k has columns -c[k][j][i]
+        tuple(Matrix(zip(*[[-x if x else x for x in ck[j][i]] for j in range(n)]))
+              for i in range(n))
+        for ck in L.c)
+    # a -> <e_i, a>_k has columns c[k][i][j]
+    G = tuple(tuple(Matrix(zip(*ck[i])) for i in range(n)) for ck in L.c)
+    return OrdinaryModule(L, n, F, G)
 
 
 def plus_annihilator(M: OrdinaryModule) -> Subspace:

@@ -7,10 +7,11 @@ input was malformed or an eigen-step left the rationals.
 
 from __future__ import annotations
 
-from .algebra import LieLikeAlgebra, check_algebra, is_solvable
+from .algebra import LieLikeAlgebra, is_solvable
 from .errors import NonSplitSpectrum, TheoremViolation
 from .modules import (
     OrdinaryModule,
+    check_algebra,
     check_derived_identities,
     check_module,
     is_submodule,

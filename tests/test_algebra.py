@@ -100,9 +100,9 @@ def naive_check_algebra(L):
 
 
 class TestIntegerCheckMatchesBracketLoop:
-    """check_algebra compares integer rows through the multiplication maps;
-    its violations must equal the bracket loop's, residuals and order
-    included."""
+    """check_algebra compares columns of the adjoint module's integer
+    product table and reads each residual off the same rows; its violations
+    must equal the bracket loop's, residuals and order included."""
 
     @settings(max_examples=80, deadline=None)
     @given(perturbed_modules())

@@ -271,6 +271,32 @@ class TestInvalidExits:
         code, _ = run(capsys, "oracle", path)
         assert code == 2
 
+    @pytest.mark.parametrize("content", [
+        b'{"dim": ' + b"1" * 5000 + b"}",  # past the int conversion limit
+        b'{"dim": 1, "s": "\xff"}',  # not UTF-8
+        b"[" * 100000,  # nested past the recursion limit
+    ], ids=["long-int", "not-utf8", "deep-nesting"])
+    def test_unreadable_json_is_one_line(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run_captured(capsys, "derived", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["adjoint", "ALG"],
+        ["generate", "--construction", "abelian", "--dim", "2", "--s", "1",
+         "--seed", "0"],
+    ], ids=["adjoint", "generate"])
+    def test_unwritable_output_is_one_line(self, tmp_path, capsys, leib2, argv):
+        target = tmp_path / "missing" / "out.json"
+        argv = [write_algebra(tmp_path, leib2) if a == "ALG" else a for a in argv]
+        code, out, err = run_captured(capsys, *argv, "-o", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestEmptyModule:
     """A module with vdim 0 has no weight vector: one-line error, exit 2."""

@@ -13,6 +13,7 @@ from lielike import (
     run_verify,
 )
 from lielike.serialize import (
+    MAX_SIZE,
     dumps,
     instance_from_json,
     instance_to_json,
@@ -29,6 +30,19 @@ class TestGeneratorSpec:
             GeneratorSpec("abelian", -1, 1, 0)
         with pytest.raises(ValueError):
             GeneratorSpec("abelian", 2, 0, 0)
+
+    def test_rejects_sizes_that_files_cannot_hold(self):
+        # only the specs are built: nothing is generated at these sizes
+        for construction in CONSTRUCTIONS:
+            with pytest.raises(ValueError):
+                GeneratorSpec(construction, MAX_SIZE + 1, 1, 0)
+            with pytest.raises(ValueError):
+                GeneratorSpec(construction, 1, MAX_SIZE + 1, 0)
+        # direct-sum writes vdim = 2 * dim
+        with pytest.raises(ValueError):
+            GeneratorSpec("direct-sum", MAX_SIZE // 2 + 1, 1, 0)
+        GeneratorSpec("direct-sum", MAX_SIZE // 2, MAX_SIZE, 0)
+        GeneratorSpec("basis-changed", MAX_SIZE, MAX_SIZE, 0)
 
 
 class TestConstructions:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lielike import (
+    GeneratorSpec,
     LieLikeAlgebra,
     Matrix,
     OrdinaryModule,
@@ -15,15 +16,23 @@ from lielike import (
     check_derived_identities,
     check_module,
     direct_sum,
+    generate,
     is_submodule,
     plus_annihilator,
     restrict_algebra,
     restrict_module,
 )
+from lielike import modules
 from lielike.generate import transform_instance
 from lielike.linalg import vec
 from lielike.modules import ModuleViolation, Report
-from strategies import diagonal, perturbed_modules, shifted, valid_instances
+from strategies import (
+    diagonal,
+    perturbed_modules,
+    shifted,
+    shifted_algebra,
+    valid_instances,
+)
 
 F = Fraction
 
@@ -135,8 +144,9 @@ def naive_derived_identities(M):
 
 
 class TestIntegerChecksMatchFractionLoops:
-    """check_module and check_derived_identities compare integer rows; the
-    violation lists must equal the Fraction loops', residuals and order
+    """check_module and check_derived_identities compare integer rows of one
+    product table, and check_module reads each residual off the same rows;
+    the results must equal the Fraction loops', residuals and order
     included."""
 
     @settings(max_examples=60, deadline=None)
@@ -188,6 +198,41 @@ class TestIntegerChecksMatchFractionLoops:
                     [((0, 1, 1, 1), F(1, 7))])
         assert check_module(M) == naive_check_module(M) != []
         assert check_derived_identities(M) == Report(True)
+
+
+class TestOneProductTable:
+    """check_algebra and check_module each build one _ProductTable and read
+    every comparison and every residual from it: no Fraction matrix product
+    is taken, not even for a failing tuple."""
+
+    @staticmethod
+    def counted(monkeypatch, check, arg):
+        """(tables built, Matrix products taken) by one call of check."""
+        counts = [0, 0]
+        table, matmul = modules._ProductTable, Matrix.__matmul__
+
+        def counted_table(M):
+            counts[0] += 1
+            return table(M)
+
+        def counted_matmul(a, b):
+            counts[1] += 1
+            return matmul(a, b)
+
+        monkeypatch.setattr(modules, "_ProductTable", counted_table)
+        monkeypatch.setattr(Matrix, "__matmul__", counted_matmul)
+        assert check(arg)
+        return tuple(counts)
+
+    def test_failing_algebra(self, monkeypatch, nt3):
+        bad = shifted_algebra(nt3, [((0, 2, 2, 2), F(1, 7)), ((1, 0, 2, 1), F(-2, 7))])
+        assert self.counted(monkeypatch, check_algebra, bad) == (1, 0)
+
+    def test_failing_module(self, monkeypatch):
+        # the benchmark's invalid twin: G_0(e_0) + I on a generated instance
+        M = generate(GeneratorSpec("graded-nilpotent", 3, 3, 0)).module
+        twin = shifted(M, [(("G", 0, 0, r, r), 1) for r in range(M.vdim)])
+        assert self.counted(monkeypatch, check_module, twin) == (1, 0)
 
 
 class TestDerivedIdentities:
