@@ -88,8 +88,6 @@ def _common_denominator(values: Iterable) -> int:
 
 def _scaled_ints(values: Iterable, d: int) -> tuple[int, ...]:
     """d*x for each x; d must be a multiple of every denominator."""
-    if d == 1:
-        return tuple(x.numerator for x in values)
     return tuple(x.numerator * (d // x.denominator) for x in values)
 
 

@@ -265,15 +265,18 @@ def check_derived_identities(M: OrdinaryModule) -> Report:
 def adjoint(L: LieLikeAlgebra) -> OrdinaryModule:
     """The adjoint module (L, -r_k, l_k) on the algebra itself."""
     n = L.dim
-    # rows are the transposed columns; zero entries are shared, not negated
-    F = tuple(
-        # a -> -<a, e_i>_k has columns -c[k][j][i]
-        tuple(Matrix(zip(*[[-x if x else x for x in ck[j][i]] for j in range(n)]))
-              for i in range(n))
-        for ck in L.c)
-    # a -> <e_i, a>_k has columns c[k][i][j]
-    G = tuple(tuple(Matrix(zip(*ck[i])) for i in range(n)) for ck in L.c)
-    return OrdinaryModule(L, n, F, G)
+    F, G = [], []
+    for k in range(L.s):
+        fk, gk = [], []
+        for i in range(n):
+            # a -> -<a, e_i>_k has columns -c[k][j][i]
+            fk.append(Matrix.from_columns(
+                [tuple(-x for x in L.c[k][j][i]) for j in range(n)], n))
+            # a -> <e_i, a>_k has columns c[k][i][j]
+            gk.append(Matrix.from_columns(list(L.c[k][i]), n))
+        F.append(tuple(fk))
+        G.append(tuple(gk))
+    return OrdinaryModule(L, n, tuple(F), tuple(G))
 
 
 def plus_annihilator(M: OrdinaryModule) -> Subspace:
