@@ -279,6 +279,19 @@ def adjoint(L: LieLikeAlgebra) -> OrdinaryModule:
     return OrdinaryModule(L, n, tuple(F), tuple(G))
 
 
+def _annihilator_columns(fs: Sequence[Matrix], gs: Sequence[Matrix]):
+    """Integer columns spanning the images of g_h(z) - f_0(z) for every h
+    and of f_k(z) - f_0(z) for k >= 1, from fs = (f_k(z)) and gs = (g_h(z))
+    for one algebra element z."""
+    d0, f0 = fs[0]._integer()
+    for op in (*gs, *fs[1:]):
+        d, rows = op._integer()
+        # the columns of lcm(d, d0) (op - f0), as integer rows
+        a, b = d0 // gcd(d, d0), d // gcd(d, d0)
+        yield from zip(*([a * u - b * v for u, v in zip(r, r0)]
+                         for r, r0 in zip(rows, f0)))
+
+
 def plus_annihilator(M: OrdinaryModule) -> Subspace:
     """Span of (g_h(e_i) - f_k(e_i))(b) over all basis elements and indices.
 
@@ -286,16 +299,9 @@ def plus_annihilator(M: OrdinaryModule) -> Subspace:
     for every h and of f_k - f_0 for k >= 1 span the same space: 2s - 1
     operators per basis index instead of s^2.
     """
-    gens = []
-    for i in range(M.algebra.dim):
-        d0, f0 = M.F[0][i]._integer()
-        for op in [*(gh[i] for gh in M.G), *(fk[i] for fk in M.F[1:])]:
-            d, rows = op._integer()
-            # the columns of lcm(d, d0) (op - f0), as integer rows
-            a, b = d0 // gcd(d, d0), d // gcd(d, d0)
-            gens.extend(zip(*([a * u - b * v for u, v in zip(r, r0)]
-                              for r, r0 in zip(rows, f0))))
-    return Subspace(M.vdim, *_reduce(gens))
+    return Subspace(M.vdim, *_reduce(
+        col for i in range(M.algebra.dim)
+        for col in _annihilator_columns([fk[i] for fk in M.F], [gh[i] for gh in M.G])))
 
 
 def is_submodule(M: OrdinaryModule, U: Subspace) -> bool:

@@ -1,12 +1,13 @@
 """Constructive generalized Lie's theorem for solvable Lie-like algebras,
 with the supporting lemma checks and an independent brute-force oracle.
 
-The main entry point `solve` follows the inductive proof: split off a
-codimension-1 ideal, solve over the ideal, form the joint weight space of
-the returned functionals, and branch on whether it meets the plus
-annihilator.  The result is a nonzero vector v and functionals phi_k,
-psi_k with f_k(z)v = phi_k(z)v and g_k(z)v = psi_k(z)v, satisfying the
-dichotomy: all psi_k vanish or phi_k = psi_k for every k.
+The main entry point `solve` follows the inductive proof along a flag
+x_1, ..., x_n computed once, A_j = span(x_1..x_j) an ideal of codimension 1
+in A_{j+1}: level j forms the joint weight space of the functionals found
+over A_{j-1} and branches on whether it meets the plus annihilator of A_j.
+The result is a nonzero vector v and functionals phi_k, psi_k with
+f_k(z)v = phi_k(z)v and g_k(z)v = psi_k(z)v, satisfying the dichotomy: all
+psi_k vanish or phi_k = psi_k for every k.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _reduce,
+    combine,
     commutator,
     common_eigenspace,
     eigenspace,
@@ -48,13 +51,20 @@ from .linalg import (
     unit_vec,
     vdot,
     vec,
+    vsub,
     zero_vec,
 )
-from .modules import OrdinaryModule, Report, plus_annihilator, restrict_module
+from .modules import (
+    OrdinaryModule,
+    Report,
+    _annihilator_columns,
+    plus_annihilator,
+    restrict_module,
+)
 
 Grid = tuple[Vector, ...]  # s rows of functional values on a basis
 
-# branch tags recorded per recursion level, outermost level first
+# branch tags recorded per level, top level (A_n = L) first
 TAG_ANN_G_ZERO = "ann-nonzero/g-zero"
 TAG_ANN_G_NONZERO = "ann-nonzero/g-nonzero"
 TAG_CASE_1 = "case-1"
@@ -109,21 +119,24 @@ def verify_weight(M: OrdinaryModule, v: Vector, w: Weight) -> bool:
     return True
 
 
-def weight_space(M: OrdinaryModule, w: Weight) -> Subspace:
-    """Joint space of the functionals on M's own basis operators: the
-    intersection of ker(F[k][i] - phi_k(e_i) I) and ker(G[k][i] - psi_k(e_i) I)
-    over every k and i."""
+def weight_space(
+    vdim: int, F: Sequence[Sequence[Matrix]], G: Sequence[Sequence[Matrix]], w: Weight
+) -> Subspace:
+    """Joint space of the functionals on the operators of a basis z_i of a
+    subalgebra, F[k][i] = f_k(z_i) and G[k][i] = g_k(z_i) on Q^vdim: the
+    intersection of ker(F[k][i] - phi_k(z_i) I) and ker(G[k][i] - psi_k(z_i) I)
+    over every k and i, with w holding the values phi_k(z_i), psi_k(z_i)."""
     pairs = (
         (fam[k][i], grid[k][i])
-        for k in range(M.algebra.s)
-        for i in range(M.algebra.dim)
-        for fam, grid in ((M.F, w.phi), (M.G, w.psi))
+        for k in range(len(F))
+        for i in range(len(F[k]))
+        for fam, grid in ((F, w.phi), (G, w.psi))
     )
-    return common_eigenspace(pairs, Subspace.full(M.vdim))
+    return common_eigenspace(pairs, Subspace.full(vdim))
 
 
 # ---------------------------------------------------------------------------
-# the recursive solver
+# the solver
 # ---------------------------------------------------------------------------
 
 def solve(L: LieLikeAlgebra, M: OrdinaryModule) -> SolveResult:
@@ -132,85 +145,82 @@ def solve(L: LieLikeAlgebra, M: OrdinaryModule) -> SolveResult:
     Requires L solvable and M a valid module with vdim >= 1.  The output is
     deterministic, including the branch trace.
     """
-    return _checked_solve(L, M, None)
-
-
-def _checked_solve(L: LieLikeAlgebra, M: OrdinaryModule, ann: Subspace | None):
-    """`solve`, given M's plus annihilator when the caller has computed it
-    already (None: computed when needed)."""
     if M.vdim < 1:
         raise DimensionMismatch("solve needs a nonzero module")
-    # an unsolvable L raises NotSolvable from split_codim1 at the first
-    # level where D^2 = L, before any eigen-step
-    v, phi, psi, trace = _solve(L, M, ann)
-    w = Weight(phi, psi)
+    m, s = M.vdim, L.s
+    xs = _flag(L)  # an unsolvable L raises NotSolvable here, before any eigen-step
+    F = [[M.f(k, x) for x in xs] for k in range(s)]
+    G = [[M.g(k, x) for x in xs] for k in range(s)]
+    # the answer over A_0 = 0; over A_j the functionals are held as their
+    # values on x_1..x_j, and ann as its canonical integer rows
+    v = unit_vec(m, 0)
+    phi = psi = tuple(() for _ in range(s))
+    ann_rows: tuple = ()
+    trace: list[str] = []
+    for j in range(len(xs)):
+        FA, GA = [fk[:j] for fk in F], [gk[:j] for gk in G]
+        Fx, Gx = [fk[j] for fk in F], [gk[j] for gk in G]
+        U = weight_space(m, FA, GA, Weight(phi, psi))
+        if U.dim == 0 or not U.contains(v):
+            raise TheoremViolation("recursive weight space lost its weight vector")
+        ann_rows, pivots = _reduce([*ann_rows, *_annihilator_columns(Fx, Gx)])
+        ann = Subspace(m, ann_rows, pivots)
+
+        meet, tags = U.intersect(ann), []
+        w_tilde = None if meet.dim else _case1_witness(U, Fx, Gx)
+        if w_tilde is not None:
+            # Case 1: branch (i) on the space of the zero psi
+            psi = tuple(zero_vec(j) for _ in range(s))
+            meet = weight_space(m, FA, GA, Weight(phi, psi)).intersect(ann)
+            if not meet.contains(w_tilde):
+                raise TheoremViolation("case-1 witness left the expected space")
+            tags = [TAG_CASE_1]
+        if meet.dim > 0:
+            v, phi, psi, tag = _annihilator_branch(Fx, Gx, meet, phi, psi)
+        else:
+            # Case 2: f_h(x) = g_h(x) on all of U
+            try:
+                u_lam, lams = joint_eigenspace(Fx, U)
+            except NotInvariant as exc:
+                raise TheoremViolation("f_k(x) must preserve the weight space") from exc
+            try:
+                v, mus = joint_eigenvector(Gx, u_lam)
+            except NotInvariant as exc:
+                raise TheoremViolation(
+                    "g_k(x) must preserve the joint eigenspace in case 2"
+                ) from exc
+            phi, psi, tag = _extend(phi, lams), _extend(psi, mus), TAG_CASE_2
+        trace[:0] = tags + [tag]
+
+    # row j of B is x_j, so the values on the x's are B phi
+    B_inv = inverse(Matrix(xs))
+    w = Weight(*(tuple(B_inv.apply(row) for row in grid) for grid in (phi, psi)))
     if not verify_weight(M, v, w):
         raise TheoremViolation("solver produced a vector that fails Eq (36)")
     return SolveResult(v, w, check_dichotomy(w), tuple(trace))
 
 
-def _solve(L: LieLikeAlgebra, M: OrdinaryModule, ann: Subspace | None):
-    n, s = L.dim, L.s
-    if n == 0:
-        empty: Grid = tuple(() for _ in range(s))
-        return unit_vec(M.vdim, 0), empty, empty, []
-
-    A, x = split_codim1(L)
-    LA = restrict_algebra(L, A)
-    MA = restrict_module(M, A, LA)
-    v_rec, phi_rec, psi_rec, trace_rec = _solve(LA, MA, None)
-    w_rec = Weight(phi_rec, psi_rec)
-
-    U = weight_space(MA, w_rec)
-    if U.dim == 0 or not U.contains(v_rec):
-        raise TheoremViolation("recursive weight space lost its weight vector")
-
-    if ann is None:
-        ann = plus_annihilator(M)
-    Fx = [M.f(k, x) for k in range(s)]
-    Gx = [M.g(k, x) for k in range(s)]
-    ext = _FunctionalExtender(A.basis, x)
-
-    meet = U.intersect(ann)
-    if meet.dim > 0:
-        v, phi, psi, tag = _annihilator_branch(
-            M, Fx, Gx, meet, ext, phi_rec, psi_rec
-        )
-        return v, phi, psi, [tag] + trace_rec
-
-    witness = _case1_witness(U, Fx, Gx)
-    if witness is not None:
-        h0, wvec = witness
-        w_tilde = vec(
-            a - b for a, b in zip(Fx[h0].apply(wvec), Gx[h0].apply(wvec))
-        )
-        psi_zero = tuple(zero_vec(A.dim) for _ in range(s))
-        u_tilde = weight_space(MA, Weight(phi_rec, psi_zero))
-        meet_tilde = u_tilde.intersect(ann)
-        if is_zero_vec(w_tilde) or not meet_tilde.contains(w_tilde):
-            raise TheoremViolation("case-1 witness left the expected space")
-        v, phi, psi, tag = _annihilator_branch(
-            M, Fx, Gx, meet_tilde, ext, phi_rec, psi_zero
-        )
-        return v, phi, psi, [TAG_CASE_1, tag] + trace_rec
-
-    # Case 2: f_h(x) = g_h(x) on all of U
-    try:
-        u_lam, lams = joint_eigenspace(Fx, U)
-    except NotInvariant as exc:
-        raise TheoremViolation("f_k(x) must preserve the weight space") from exc
-    try:
-        v, mus = joint_eigenvector(Gx, u_lam)
-    except NotInvariant as exc:
-        raise TheoremViolation(
-            "g_k(x) must preserve the joint eigenspace in case 2"
-        ) from exc
-    phi = ext.extend(phi_rec, lams)
-    psi = ext.extend(psi_rec, mus)
-    return v, phi, psi, [TAG_CASE_2] + trace_rec
+def _flag(L: LieLikeAlgebra) -> list[Vector]:
+    """x_1, ..., x_n in L's coordinates, each A_j = span(x_1..x_j) an ideal
+    of codimension 1 in A_{j+1}: split_codim1 and restrict_algebra run down
+    from L, each level's x mapped back through the level's basis."""
+    n, level = L.dim, L
+    basis = L.basis()  # the level's basis, in L's coordinates
+    xs = []
+    while level.dim:
+        A, x = split_codim1(level)
+        xs.append(combine(zip(x, basis), n))
+        basis = [combine(zip(a, basis), n) for a in A.basis]
+        level = restrict_algebra(level, A)
+    return xs[::-1]
 
 
-def _annihilator_branch(M, Fx, Gx, meet, ext, phi_rec, psi_rec):
+def _extend(grid: Grid, values: Sequence[Fraction]) -> Grid:
+    """Append each functional's value on the next x."""
+    return tuple(row + (Fraction(lam),) for row, lam in zip(grid, values, strict=True))
+
+
+def _annihilator_branch(Fx, Gx, meet, phi, psi):
     """Branch (i): a common f-eigenvector inside U meet the annihilator."""
     try:
         v0, lams = joint_eigenvector(Fx, meet)
@@ -219,36 +229,20 @@ def _annihilator_branch(M, Fx, Gx, meet, ext, phi_rec, psi_rec):
     images = [g.apply(v0) for g in Gx]
     h0 = next((h for h, img in enumerate(images) if not is_zero_vec(img)), None)
     if h0 is None:
-        phi = ext.extend(phi_rec, lams)
-        psi = ext.extend(psi_rec, [Fraction(0)] * len(Gx))
-        return v0, phi, psi, TAG_ANN_G_ZERO
-    n, s = ext.n, len(Gx)
-    zero = tuple(zero_vec(n) for _ in range(s))
+        return v0, _extend(phi, lams), _extend(psi, [0] * len(Gx)), TAG_ANN_G_ZERO
+    zero = tuple(zero_vec(len(row) + 1) for row in phi)
     return images[h0], zero, zero, TAG_ANN_G_NONZERO
 
 
-def _case1_witness(U: Subspace, Fx, Gx):
-    """First basis vector of U (then smallest index h) where f and g differ."""
+def _case1_witness(U: Subspace, Fx, Gx) -> Vector | None:
+    """(f_h(x) - g_h(x))w for the first basis vector w of U, then the
+    smallest h, where it is nonzero; None when f and g agree on U."""
     for wvec in U.basis:
-        for h, (f, g) in enumerate(zip(Fx, Gx)):
-            if f.apply(wvec) != g.apply(wvec):
-                return h, wvec
+        for f, g in zip(Fx, Gx):
+            w_tilde = vsub(f.apply(wvec), g.apply(wvec))
+            if not is_zero_vec(w_tilde):
+                return w_tilde
     return None
-
-
-class _FunctionalExtender:
-    """Converts functional values on (basis of A, x) to the standard basis."""
-
-    def __init__(self, a_basis: Sequence[Vector], x: Vector):
-        self.n = len(x)
-        # row r of B is the r-th basis vector, so phi = B^-1 (values on it)
-        self._B_inv = inverse(Matrix(list(a_basis) + [x]))
-
-    def extend(self, grid_on_a: Grid, x_values: Sequence[Fraction]) -> Grid:
-        return tuple(
-            self._B_inv.apply(tuple(row) + (Fraction(lam),))
-            for row, lam in zip(grid_on_a, x_values, strict=True)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +362,7 @@ def trace_vanishing_check(
     """
     _check_split(L, A, x)
     MA = restrict_module(M, A, restrict_algebra(L, A))
-    if weight_space(MA, w).dim == 0:
+    if weight_space(MA.vdim, MA.F, MA.G, w).dim == 0:
         raise SetupInvalid("no nonzero vector realizes the given functionals")
 
     def psi_at(h: int, z: Vector) -> Fraction:

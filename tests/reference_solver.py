@@ -1,0 +1,139 @@
+"""The recursive solver, kept as the reference for `solve`.
+
+It follows the inductive proof literally: at every level it splits off a
+codimension-1 ideal, restricts the algebra and the module to it, solves
+there, recomputes the plus annihilator of the module it was given, and
+converts the functionals to its own standard basis by inverting the basis
+(A's basis, x).  `solve` computes the same flag once and runs the levels in
+one loop; the two must agree on every instance, result and error alike.
+"""
+
+from fractions import Fraction
+
+from lielike import (
+    DimensionMismatch,
+    Matrix,
+    NotInvariant,
+    SolveResult,
+    TheoremViolation,
+    Weight,
+    check_dichotomy,
+    joint_eigenspace,
+    joint_eigenvector,
+    plus_annihilator,
+    restrict_algebra,
+    restrict_module,
+    split_codim1,
+    verify_weight,
+    weight_space,
+)
+from lielike.linalg import inverse, is_zero_vec, unit_vec, vec, zero_vec
+from lielike.solver import (
+    TAG_ANN_G_NONZERO,
+    TAG_ANN_G_ZERO,
+    TAG_CASE_1,
+    TAG_CASE_2,
+)
+
+
+def recursive_solve(L, M):
+    """`solve`, by recursion on the restricted algebra and module."""
+    if M.vdim < 1:
+        raise DimensionMismatch("solve needs a nonzero module")
+    v, phi, psi, trace = _solve(L, M)
+    w = Weight(phi, psi)
+    if not verify_weight(M, v, w):
+        raise TheoremViolation("solver produced a vector that fails Eq (36)")
+    return SolveResult(v, w, check_dichotomy(w), tuple(trace))
+
+
+def _weight_space(M, w):
+    return weight_space(M.vdim, M.F, M.G, w)
+
+
+def _solve(L, M):
+    n, s = L.dim, L.s
+    if n == 0:
+        empty = tuple(() for _ in range(s))
+        return unit_vec(M.vdim, 0), empty, empty, []
+
+    A, x = split_codim1(L)
+    LA = restrict_algebra(L, A)
+    MA = restrict_module(M, A, LA)
+    v_rec, phi_rec, psi_rec, trace_rec = _solve(LA, MA)
+
+    U = _weight_space(MA, Weight(phi_rec, psi_rec))
+    if U.dim == 0 or not U.contains(v_rec):
+        raise TheoremViolation("recursive weight space lost its weight vector")
+
+    ann = plus_annihilator(M)
+    Fx = [M.f(k, x) for k in range(s)]
+    Gx = [M.g(k, x) for k in range(s)]
+    ext = _FunctionalExtender(A.basis, x)
+
+    meet = U.intersect(ann)
+    if meet.dim > 0:
+        v, phi, psi, tag = _annihilator_branch(Fx, Gx, meet, ext, phi_rec, psi_rec)
+        return v, phi, psi, [tag] + trace_rec
+
+    witness = _case1_witness(U, Fx, Gx)
+    if witness is not None:
+        h0, wvec = witness
+        w_tilde = vec(a - b for a, b in zip(Fx[h0].apply(wvec), Gx[h0].apply(wvec)))
+        psi_zero = tuple(zero_vec(A.dim) for _ in range(s))
+        meet_tilde = _weight_space(MA, Weight(phi_rec, psi_zero)).intersect(ann)
+        if is_zero_vec(w_tilde) or not meet_tilde.contains(w_tilde):
+            raise TheoremViolation("case-1 witness left the expected space")
+        v, phi, psi, tag = _annihilator_branch(
+            Fx, Gx, meet_tilde, ext, phi_rec, psi_zero)
+        return v, phi, psi, [TAG_CASE_1, tag] + trace_rec
+
+    # Case 2: f_h(x) = g_h(x) on all of U
+    try:
+        u_lam, lams = joint_eigenspace(Fx, U)
+    except NotInvariant as exc:
+        raise TheoremViolation("f_k(x) must preserve the weight space") from exc
+    try:
+        v, mus = joint_eigenvector(Gx, u_lam)
+    except NotInvariant as exc:
+        raise TheoremViolation(
+            "g_k(x) must preserve the joint eigenspace in case 2") from exc
+    return v, ext.extend(phi_rec, lams), ext.extend(psi_rec, mus), [TAG_CASE_2] + trace_rec
+
+
+def _annihilator_branch(Fx, Gx, meet, ext, phi_rec, psi_rec):
+    try:
+        v0, lams = joint_eigenvector(Fx, meet)
+    except NotInvariant as exc:
+        raise TheoremViolation("f_k(x) must preserve U meet the annihilator") from exc
+    images = [g.apply(v0) for g in Gx]
+    h0 = next((h for h, img in enumerate(images) if not is_zero_vec(img)), None)
+    if h0 is None:
+        phi = ext.extend(phi_rec, lams)
+        psi = ext.extend(psi_rec, [Fraction(0)] * len(Gx))
+        return v0, phi, psi, TAG_ANN_G_ZERO
+    zero = tuple(zero_vec(ext.n) for _ in Gx)
+    return images[h0], zero, zero, TAG_ANN_G_NONZERO
+
+
+def _case1_witness(U, Fx, Gx):
+    for wvec in U.basis:
+        for h, (f, g) in enumerate(zip(Fx, Gx)):
+            if f.apply(wvec) != g.apply(wvec):
+                return h, wvec
+    return None
+
+
+class _FunctionalExtender:
+    """Converts functional values on (basis of A, x) to the standard basis."""
+
+    def __init__(self, a_basis, x):
+        self.n = len(x)
+        # row r of B is the r-th basis vector, so phi = B^-1 (values on it)
+        self._B_inv = inverse(Matrix(list(a_basis) + [x]))
+
+    def extend(self, grid_on_a, x_values):
+        return tuple(
+            self._B_inv.apply(tuple(row) + (Fraction(lam),))
+            for row, lam in zip(grid_on_a, x_values, strict=True)
+        )

@@ -77,5 +77,6 @@ def test_weight_space_matches_kernel_loop(spec):
     MA = restrict_module(M, setup.A, setup.subalgebra)
     psi_zero = tuple(zero_vec(setup.A.dim) for _ in range(L.s))
     for w in (setup.weight, Weight(setup.weight.phi, psi_zero)):
-        assert weight_space(MA, w) == old_weight_space(M, setup.A.basis, w)
-    assert weight_space(MA, setup.weight).contains(setup.u0)
+        assert weight_space(MA.vdim, MA.F, MA.G, w) == old_weight_space(
+            M, setup.A.basis, w)
+    assert weight_space(MA.vdim, MA.F, MA.G, setup.weight).contains(setup.u0)

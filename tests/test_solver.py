@@ -1,10 +1,14 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from lielike import (
     DimensionMismatch,
+    GeneratorSpec,
     LieLikeAlgebra,
+    LieLikeError,
     Matrix,
     NonSplitSpectrum,
     NormalizerPreconditionFailed,
@@ -18,10 +22,10 @@ from lielike import (
     check_dichotomy,
     check_module,
     congruence_check,
+    generate,
     is_solvable,
     normalizer_invariance_check,
     oracle_solve,
-    plus_annihilator,
     run_verify,
     solve,
     split_codim1,
@@ -32,6 +36,8 @@ from lielike import (
 )
 from lielike import solver, verify
 from lielike.linalg import vec
+from reference_solver import recursive_solve
+from strategies import AFF1, bundle, valid_instances
 
 F = Fraction
 
@@ -202,24 +208,21 @@ class TestOracle:
 class TestWeightSpace:
     def test_empty_basis_is_full(self):
         # a module over the zero algebra has no operators to intersect
-        M = OrdinaryModule(LieLikeAlgebra(0, 1, ((),)), 2, ((),), ((),))
-        assert weight_space(M, Weight(((),), ((),))) == Subspace.full(2)
+        assert weight_space(2, ((),), ((),), Weight(((),), ((),))) == Subspace.full(2)
 
     def test_leib2_zero_weight(self, leib2):
         # the operators f_0(e2), g_0(e2) of adjoint(leib2) over a line
         M = adjoint(leib2)
         e2 = fvec([0, 1])
-        line = LieLikeAlgebra.from_constants(1, 1, {})
-        ops = OrdinaryModule(line, 2, ((M.f(0, e2),),), ((M.g(0, e2),),))
         w = Weight((fvec([0]),), (fvec([0]),))
-        assert weight_space(ops, w) == span(2, [[1, 0]])
+        assert weight_space(2, ((M.f(0, e2),),), ((M.g(0, e2),),), w) == span(
+            2, [[1, 0]])
 
     def test_phi_and_psi_read_separately(self):
-        line = LieLikeAlgebra.from_constants(1, 1, {})
         f = Matrix([[F(1), F(0)], [F(0), F(2)]])
-        M = OrdinaryModule(line, 2, ((f,),), ((Matrix.zeros(2, 2),),))
         w = Weight((fvec([1]),), (fvec([0]),))
-        assert weight_space(M, w) == span(2, [[1, 0]])
+        assert weight_space(2, ((f,),), ((Matrix.zeros(2, 2),),), w) == span(
+            2, [[1, 0]])
 
 
 class TestNormalizerInvariance:
@@ -339,31 +342,94 @@ class TestKnownProofGap:
 
 
 class TestAnnihilatorOnce:
-    """run_verify hands its plus annihilator to the solver's top level."""
+    """run_verify computes the plus annihilator once, for its submodule
+    check.  solve computes the flag once (one split per level, one basis
+    inversion) and grows its own annihilator along it."""
 
     @pytest.fixture
-    def annihilated(self, monkeypatch):
-        modules_seen = []
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for module, name in ((verify, "plus_annihilator"),
+                             (solver, "plus_annihilator"),
+                             (solver, "restrict_module"),
+                             (solver, "split_codim1"),
+                             (solver, "inverse")):
+            def counted(*args, _name=name, _fn=getattr(module, name)):
+                counts[_name] += 1
+                return _fn(*args)
 
-        def counted(M):
-            modules_seen.append(M)
-            return plus_annihilator(M)
-
-        monkeypatch.setattr(verify, "plus_annihilator", counted)
-        monkeypatch.setattr(solver, "plus_annihilator", counted)
-        return modules_seen
+            monkeypatch.setattr(module, name, counted)
+        return counts
 
     @pytest.mark.parametrize("name", ["leib2", "nt3", "aff2"])
-    def test_once_per_module(self, annihilated, name, request):
+    def test_once_per_module(self, calls, name, request):
+        L = request.getfixturevalue(name)
+        report, code = run_verify(L, adjoint(L))
+        assert code == 0 and report["checks"]["solve"]["ok"]
+        assert calls["plus_annihilator"] == 1
+
+    def test_solve_computes_the_flag_once(self, calls, leib2, nt3, aff2):
+        graded = generate(GeneratorSpec("graded-nilpotent", 5, 2, 0))
+        for L, M in ((leib2, adjoint(leib2)), (nt3, adjoint(nt3)),
+                     (aff2, adjoint(aff2)), (graded.algebra, graded.module)):
+            calls.clear()
+            solve(L, M)
+            assert calls == {"split_codim1": L.dim, "inverse": 1}
+
+
+class TestUnverifiedVector:
+    def test_fails_the_solve_check(self, monkeypatch, nt3):
+        # the one weight check is solve's own: run_verify reports its raise
+        monkeypatch.setattr(solver, "verify_weight", lambda M, v, w: False)
+        report, code = run_verify(nt3, adjoint(nt3))
+        assert code == 1 and not report["ok"]
+        assert report["checks"]["solve"] == {
+            "ok": False, "error": "solver produced a vector that fails Eq (36)"}
+        assert "oracle" not in report["checks"]
+
+
+def outcome(solver_fn, L, M):
+    """The result, or the type and message of the library error raised."""
+    try:
+        return solver_fn(L, M)
+    except LieLikeError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="session")
+def proof_gap():
+    return LieLikeAlgebra.from_constants(
+        3, 2, {(0, 0, 1): [1, -1, -1], (0, 1, 0): [-1, 1, 1]}
+    )
+
+
+class TestFlagMatchesRecursion:
+    """solve over the flag gives what the per-level recursion gives."""
+
+    @pytest.mark.parametrize("name", [
+        "leib2", "nt3", "aff2", "right1", "proof_gap", "sl2_plus_line"])
+    def test_adjoint_fixtures(self, name, request):
         L = request.getfixturevalue(name)
         M = adjoint(L)
-        report, code = run_verify(L, M)
-        assert code == 0 and report["checks"]["solve"]["ok"]
-        assert sum(m is M for m in annihilated) == 1
-        # each inner level with a nonzero algebra still computes its own
-        assert len(annihilated) == L.dim
+        assert outcome(solve, L, M) == outcome(recursive_solve, L, M)
 
-    def test_solve_alone_computes_it(self, annihilated, nt3):
-        M = adjoint(nt3)
-        solve(nt3, M)
-        assert sum(m is M for m in annihilated) == 1
+    def test_irrational_line(self, abelian_irrational):
+        L, M = abelian_irrational
+        got = outcome(solve, L, M)
+        assert got == outcome(recursive_solve, L, M)
+        assert got[0] is NonSplitSpectrum
+
+    @pytest.mark.parametrize("ts", [[F(2)], [F(3, 5), F(3, 5)], [F(-1, 7)] * 3])
+    def test_aff1_bundles_with_nonzero_weights(self, ts):
+        L = bundle(AFF1, ts)
+        M = adjoint(L)
+        res = solve(L, M)
+        assert res == recursive_solve(L, M)
+        assert res.dichotomy == "phi-equals-psi"
+        assert all(row == (0, t) for row, t in zip(res.weight.phi, ts))
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_instances())
+    def test_valid_instances(self, instance):
+        L, M = instance
+        assert outcome(solve, L, M) == outcome(recursive_solve, L, M)
