@@ -1,14 +1,15 @@
 """Exact rational linear algebra: vectors, matrices, canonical subspaces,
 rational eigen-computations, and joint-eigenvector search.
 
-Values are ``fractions.Fraction``, and eliminations run on integer rows;
-no floating point appears anywhere.  All values are immutable after construction and every operation
-is a pure function of its inputs.
+Values are ``fractions.Fraction``; eliminations and spectra run on integer
+rows, and no floating point appears anywhere.  All values are immutable
+after construction and every operation is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -458,21 +459,25 @@ def inverse(m: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 
 def charpoly(m: Matrix) -> tuple[Fraction, ...]:
-    """Coefficients of det(tI - M), low degree first; always monic.
-
-    Hessenberg method (Cohen, *A Course in Computational Algebraic Number
-    Theory*, §2.2): reduce M to upper Hessenberg form H by a
-    similarity over Q, then expand det(tI - H) by the recurrence on its
-    leading principal minors.  O(n^3) field operations, no determinants
-    and no division by polynomials.
-    """
+    """Coefficients of det(tI - M), low degree first; always monic."""
     if m.nrows != m.ncols:
         raise DimensionMismatch("charpoly of a non-square matrix")
-    n = m.nrows
-    h = [list(r) for r in m.rows]
+    poly = _int_charpoly(*m._integer())
+    return tuple(Fraction(c, poly[-1]) for c in poly)
+
+
+def _int_charpoly(d: int, a: Sequence[Sequence[int]]) -> list[int]:
+    """c p_M(t), low degree first, with c = num^n > 0 and M = A/d, A a square
+    integer matrix: Hessenberg's method (Cohen, *A Course in Computational
+    Algebraic Number Theory*, §2.2) on H ~ (num/den) M.  Where a pivot p does
+    not divide the entries a below it, H is conjugated by diag(1..1, q..q) and
+    scaled by q = |p|/gcd(p, a); after each column, H is divided by its content."""
+    n = len(a)
+    h = [list(r) for r in a]
+    num, den = d, 1
     for c in range(n - 2):
         # pivot: first nonzero entry below the subdiagonal of column c
-        p = next((i for i in range(c + 1, n) if h[i][c] != 0), None)
+        p = next((i for i in range(c + 1, n) if h[i][c]), None)
         if p is None:
             continue
         k = c + 1
@@ -481,64 +486,63 @@ def charpoly(m: Matrix) -> tuple[Fraction, ...]:
             h[p], h[k] = h[k], h[p]
             for row in h:
                 row[p], row[k] = row[k], row[p]
-        inv = ONE / h[k][c]
+        q = abs(h[k][c]) // gcd(h[k][c], *(h[i][c] for i in range(k + 1, n)))
+        if q != 1:
+            # entry (i, j) of q S H S^-1 for S = diag(1..1, q..q), q past k
+            num *= q
+            for i, row in enumerate(h):
+                for j in range(n):
+                    row[j] *= q ** ((i > k) + (j <= k))
         for i in range(k + 1, n):
-            u = h[i][c] * inv
-            if u == 0:
+            u = h[i][c] // h[k][c]
+            if not u:
                 continue
             # row_i -= u row_k with col_k += u col_i is one similarity step
             hi, hk = h[i], h[k]
             for j in range(c, n):
-                if hk[j] != 0:
+                if hk[j]:
                     hi[j] -= u * hk[j]
             for row in h:
-                if row[i] != 0:
+                if row[i]:
                     row[k] += u * row[i]
+        g = gcd(*chain.from_iterable(h))
+        if g > 1:
+            den *= g
+            for row in h:
+                for j in range(n):
+                    row[j] //= g
     # p_j = det(tI - H[:j, :j]); polynomials as coefficient lists, low first
-    polys: list[list[Fraction]] = [[ONE]]
+    polys: list[list[int]] = [[1]]
     for j in range(n):
-        nxt = [ZERO] + polys[j]  # t * p_{j}
+        nxt = [0] + polys[j]  # t * p_{j}
         for d, x in enumerate(polys[j]):
             nxt[d] -= h[j][j] * x
         # - sum_i h[j-i][j] * h[j][j-1] ... h[j-i+1][j-i] * p_{j-i}
-        sub = ONE
+        sub = 1
         for i in range(1, j + 1):
             sub *= h[j - i + 1][j - i]
-            if sub == 0:
+            if not sub:
                 break
             f = sub * h[j - i][j]
-            if f != 0:
+            if f:
                 for d, x in enumerate(polys[j - i]):
                     nxt[d] -= f * x
         polys.append(nxt)
-    return tuple(polys[n])
+    return [x * num**k * den ** (n - k) for k, x in enumerate(polys[n])]
 
 
-def poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    out = ZERO
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
-
-
-def _divisors(n: int) -> list[int]:
+def _divisors(n: int) -> set[int]:
     n = abs(n)
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
+    return {e for d in range(1, isqrt(n) + 1) if n % d == 0 for e in (d, n // d)}
 
 
-def rational_roots(coeffs: Sequence[Fraction]) -> list[tuple[Fraction, int]]:
+def rational_roots(coeffs: Sequence) -> list[tuple[Fraction, int]]:
     """Rational roots with multiplicities via the rational-root theorem."""
-    p = _primitive_ints(coeffs) or []
-    while p and p[-1] == 0:
-        p.pop()
-    if not p:
+    p = _primitive_ints(coeffs)
+    if p is None:
         raise ValueError("zero polynomial has every root")
+    while p[-1] == 0:
+        p.pop()
     roots: dict[Fraction, int] = {}
     # factor out t^m
     m0 = next((i for i, c in enumerate(p) if c != 0), len(p))
@@ -551,26 +555,27 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[tuple[Fraction, int]]:
             for den in _divisors(p[-1]):
                 cands.add(Fraction(num, den))
                 cands.add(Fraction(-num, den))
-        frac_p = [Fraction(c) for c in p]
         for cand in sorted(cands):
             mult = 0
-            work = frac_p
-            while len(work) > 1 and poly_eval(work, cand) == 0:
-                work = _synthetic_div(work, cand)
-                mult += 1
+            while len(p) > 1 and (quotient := _root_quotient(p, cand)) is not None:
+                p, mult = quotient, mult + 1
             if mult:
                 roots[cand] = mult
     return sorted(roots.items())
 
 
-def _synthetic_div(coeffs: list[Fraction], r: Fraction) -> list[Fraction]:
-    """Divide by (t - r); assumes r is a root (remainder discarded)."""
-    out = [ZERO] * (len(coeffs) - 1)
-    carry = ZERO
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[i] + r * carry
+def _root_quotient(p: list[int], r: Fraction) -> list[int] | None:
+    """p/(bt - a) for r = a/b, or None when r is not a root of p."""
+    a, b = r.numerator, r.denominator
+    out, carry = [0] * (len(p) - 1), 0
+    for i in range(len(p) - 1, 0, -1):
+        # coefficient i of (bt - a)q is b q[i-1] - a q[i]; as p is
+        # primitive, q has integer coefficients (Gauss's lemma)
+        carry, rest = divmod(p[i] + a * carry, b)
+        if rest:
+            return None
         out[i - 1] = carry
-    return out
+    return out if p[0] + a * carry == 0 else None
 
 
 def rational_eigenvalues(m: Matrix) -> tuple[list[tuple[Fraction, int]], bool]:
@@ -579,13 +584,8 @@ def rational_eigenvalues(m: Matrix) -> tuple[list[tuple[Fraction, int]], bool]:
     The flag is True iff the multiplicities sum to the dimension, i.e. the
     whole spectrum is rational.
     """
-    if m.nrows != m.ncols:
-        raise DimensionMismatch("eigenvalues of a non-square matrix")
-    if m.nrows == 0:
-        return [], True
     roots = rational_roots(charpoly(m))
-    total = sum(mult for _, mult in roots)
-    return roots, total == m.nrows
+    return roots, sum(mult for _, mult in roots) == m.nrows
 
 
 def eigenspace(m: Matrix, lam, within: Subspace) -> Subspace:
@@ -644,19 +644,19 @@ def is_invariant(ops: Iterable[Matrix], space: Subspace) -> bool:
 
 def restrict_operator(m: Matrix, s: Subspace) -> Matrix:
     """Matrix of M in the canonical basis of an M-invariant subspace."""
-    return _restricted(_images(m, s), s)
+    l, rows = _restricted(_images(m, s), s)
+    return Matrix([[Fraction(x, l) for x in row] for row in rows])
 
 
-def _restricted(images: tuple, s: Subspace) -> Matrix:
-    """The restriction to s of M, from the images `_images(M, s)`: the
-    basis vector b = r/r[p] has Mb = (DM)r / (D r[p])."""
+def _restricted(images: tuple, s: Subspace) -> tuple[int, list[list[int]]]:
+    """(L, LR) for R the restriction to s of M, from `_images(M, s)`: b = r/r[p]
+    has Mb = (DM)r / (D r[p]), read at the pivots; L is the lcm of the D r[p]."""
     d, ys = images
-    cols = []
-    for y, r, p in zip(ys, s._rows, s.pivots):
-        if not s._holds(y):
-            raise NotInvariant("operator does not preserve the subspace")
-        cols.append([Fraction(y[q], d * r[p]) for q in s.pivots])
-    return Matrix.from_columns(cols, s.dim)
+    if not all(map(s._holds, ys)):
+        raise NotInvariant("operator does not preserve the subspace")
+    dens = [d * r[p] for r, p in zip(s._rows, s.pivots)]
+    l = lcm(*dens)
+    return l, [[y[q] * (l // e) for y, e in zip(ys, dens)] for q in s.pivots]
 
 
 def joint_eigenspace(
@@ -678,7 +678,7 @@ def joint_eigenspace(
         # one set of images gives the invariance check, the restricted
         # spectrum and the eigen-step
         images = _images(op, current)
-        roots, _ = rational_eigenvalues(_restricted(images, current))
+        roots = rational_roots(_int_charpoly(*_restricted(images, current)))
         if not roots:
             raise NonSplitSpectrum("restricted operator has no rational eigenvalue")
         lam = roots[0][0]

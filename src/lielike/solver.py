@@ -3,8 +3,11 @@ with the supporting lemma checks and an independent brute-force oracle.
 
 The main entry point `solve` follows the inductive proof along a flag
 x_1, ..., x_n computed once, A_j = span(x_1..x_j) an ideal of codimension 1
-in A_{j+1}: level j forms the joint weight space of the functionals found
+in A_{j+1}: level j holds the joint weight space U of the functionals found
 over A_{j-1} and branches on whether it meets the plus annihilator of A_j.
+U grows level by level: where the new functionals extend the old, it is
+the old U cut by the eigen-steps of x_{j-1}'s operators; else it is
+computed afresh from all of Q^m.
 The result is a nonzero vector v and functionals phi_k, psi_k with
 f_k(z)v = phi_k(z)v and g_k(z)v = psi_k(z)v, satisfying the dichotomy: all
 psi_k vanish or phi_k = psi_k for every k.
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .algebra import (
@@ -37,6 +41,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
+    _primitive_ints,
     _reduce,
     combine,
     commutator,
@@ -107,15 +112,19 @@ def check_dichotomy(w: Weight) -> str:
 
 
 def verify_weight(M: OrdinaryModule, v: Vector, w: Weight) -> bool:
-    """Exact check of f_k(e_i)v = phi_k(e_i)v and the g analogue."""
-    if is_zero_vec(v):
+    """Exact check of f_k(e_i)v = phi_k(e_i)v and the g analogue, on the
+    operators' integer forms: for y the primitive integer multiple of v,
+    Mv = (a/b)v reads b(DM)y = aDy."""
+    y = _primitive_ints(v)
+    if y is None:
         return False
-    for k in range(M.algebra.s):
-        for i in range(M.algebra.dim):
-            if M.F[k][i].apply(v) != tuple(w.phi[k][i] * x for x in v):
-                return False
-            if M.G[k][i].apply(v) != tuple(w.psi[k][i] * x for x in v):
-                return False
+    if len(y) != M.vdim:
+        raise DimensionMismatch("matrix/vector shape mismatch")
+    for op, lam in _weight_pairs(M.F, M.G, w, 0):
+        d, dm = op._integer()
+        b, ad = lam.denominator, lam.numerator * d
+        if any(b * sum(map(mul, row, y)) != ad * x for row, x in zip(dm, y)):
+            return False
     return True
 
 
@@ -126,13 +135,28 @@ def weight_space(
     subalgebra, F[k][i] = f_k(z_i) and G[k][i] = g_k(z_i) on Q^vdim: the
     intersection of ker(F[k][i] - phi_k(z_i) I) and ker(G[k][i] - psi_k(z_i) I)
     over every k and i, with w holding the values phi_k(z_i), psi_k(z_i)."""
-    pairs = (
+    return common_eigenspace(_weight_pairs(F, G, w, 0), Subspace.full(vdim))
+
+
+def _weight_pairs(F, G, w: Weight, start: int):
+    """The (operator, value) pairs of w from z_start on: F[k][i] with
+    phi_k(z_i), then G[k][i] with psi_k(z_i), by k, then i."""
+    return (
         (fam[k][i], grid[k][i])
         for k in range(len(F))
-        for i in range(len(F[k]))
+        for i in range(start, len(F[k]))
         for fam, grid in ((F, w.phi), (G, w.psi))
     )
-    return common_eigenspace(pairs, Subspace.full(vdim))
+
+
+def _next_weight_space(U: Subspace, held: Weight, FA, GA, w: Weight) -> Subspace:
+    """weight_space(U.ambient, FA, GA, w) from U, the weight space of `held`
+    on the first z's: where w extends `held`, the eigen-steps of the other
+    z's inside U; otherwise from the whole space."""
+    start = len(held.phi[0])
+    if all(new[:start] == old for new, old in zip(w.phi + w.psi, held.phi + held.psi)):
+        return common_eigenspace(_weight_pairs(FA, GA, w, start), U)
+    return weight_space(U.ambient, FA, GA, w)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +180,14 @@ def solve(L: LieLikeAlgebra, M: OrdinaryModule) -> SolveResult:
     v = unit_vec(m, 0)
     phi = psi = tuple(() for _ in range(s))
     ann_rows: tuple = ()
+    # U is the weight space of the functionals `held`: over A_0, all of Q^m
+    U, held = Subspace.full(m), Weight(phi, psi)
     trace: list[str] = []
     for j in range(len(xs)):
         FA, GA = [fk[:j] for fk in F], [gk[:j] for gk in G]
         Fx, Gx = [fk[j] for fk in F], [gk[j] for gk in G]
-        U = weight_space(m, FA, GA, Weight(phi, psi))
+        w = Weight(phi, psi)
+        U, held = _next_weight_space(U, held, FA, GA, w), w
         if U.dim == 0 or not U.contains(v):
             raise TheoremViolation("recursive weight space lost its weight vector")
         ann_rows, pivots = _reduce([*ann_rows, *_annihilator_columns(Fx, Gx)])

@@ -5,6 +5,7 @@ different method, something the library computes itself.
 """
 
 from fractions import Fraction
+from math import isqrt, lcm
 
 from lielike.linalg import Matrix
 
@@ -33,6 +34,96 @@ def det(m: Matrix) -> Fraction:
             a[i][k] = F(0)
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def reference_charpoly(m: Matrix) -> tuple[F, ...]:
+    """Coefficients of det(tI - M), low degree first, by the Hessenberg
+    method over Q (Cohen, *A Course in Computational Algebraic Number
+    Theory*, §2.2): the reduction to upper Hessenberg form divides by each
+    pivot in Fraction arithmetic, where the library's rescales integers."""
+    assert m.nrows == m.ncols, "charpoly of a non-square matrix"
+    n = m.nrows
+    h = [list(r) for r in m.rows]
+    for c in range(n - 2):
+        # pivot: first nonzero entry below the subdiagonal of column c
+        p = next((i for i in range(c + 1, n) if h[i][c] != 0), None)
+        if p is None:
+            continue
+        k = c + 1
+        if p != k:
+            # swap rows and the matching columns (conjugation by a permutation)
+            h[p], h[k] = h[k], h[p]
+            for row in h:
+                row[p], row[k] = row[k], row[p]
+        inv = F(1) / h[k][c]
+        for i in range(k + 1, n):
+            u = h[i][c] * inv
+            if u == 0:
+                continue
+            # row_i -= u row_k with col_k += u col_i is one similarity step
+            hi, hk = h[i], h[k]
+            for j in range(c, n):
+                if hk[j] != 0:
+                    hi[j] -= u * hk[j]
+            for row in h:
+                if row[i] != 0:
+                    row[k] += u * row[i]
+    # p_j = det(tI - H[:j, :j]); polynomials as coefficient lists, low first
+    polys: list[list[F]] = [[F(1)]]
+    for j in range(n):
+        nxt = [F(0)] + polys[j]  # t * p_{j}
+        for d, x in enumerate(polys[j]):
+            nxt[d] -= h[j][j] * x
+        # - sum_i h[j-i][j] * h[j][j-1] ... h[j-i+1][j-i] * p_{j-i}
+        sub = F(1)
+        for i in range(1, j + 1):
+            sub *= h[j - i + 1][j - i]
+            if sub == 0:
+                break
+            f = sub * h[j - i][j]
+            if f != 0:
+                for d, x in enumerate(polys[j - i]):
+                    nxt[d] -= f * x
+        polys.append(nxt)
+    return tuple(polys[n])
+
+
+def poly_eval(coeffs, x) -> F:
+    """The polynomial with coefficients `coeffs`, low degree first, at x."""
+    out = F(0)
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def reference_rational_roots(coeffs) -> list[tuple[F, int]]:
+    """Rational roots with multiplicities of a nonzero polynomial (low
+    degree first): after t^m is split off, each p/q with p | a_0 and
+    q | a_n for its integer multiple a is tried on the Fraction
+    polynomial, by value, and divided out by synthetic division while it
+    is a root."""
+    c = [F(x) for x in coeffs]
+    while c[-1] == 0:
+        c.pop()
+    m0 = next(i for i, x in enumerate(c) if x)
+    roots = {F(0): m0} if m0 else {}
+    c = c[m0:]
+    scale = lcm(*(x.denominator for x in c))
+    a0, an = (abs(int(x * scale)) for x in (c[0], c[-1]))
+
+    def divisors(n):
+        return [d for k in range(1, isqrt(n) + 1) if n % k == 0 for d in (k, n // k)]
+
+    cands = {F(sign * p, q) for p in divisors(a0) for q in divisors(an) for sign in (1, -1)}
+    for r in sorted(cands):
+        while len(c) > 1 and poly_eval(c, r) == 0:
+            carry, quotient = F(0), []
+            for x in reversed(c[1:]):
+                carry = x + r * carry
+                quotient.append(carry)
+            c = quotient[::-1]
+            roots[r] = roots.get(r, 0) + 1
+    return sorted(roots.items())
 
 
 def reference_rref(rows) -> tuple[list[tuple], list[int]]:

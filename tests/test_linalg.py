@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,13 +17,20 @@ from lielike.linalg import (
     joint_eigenspace,
     joint_eigenvector,
     kernel,
-    poly_eval,
     rational_eigenvalues,
     rref,
     restrict_operator,
     vec,
 )
-from reference_linalg import det, rank, reference_rref, scalar_matrix
+from reference_linalg import (
+    det,
+    poly_eval,
+    rank,
+    reference_charpoly,
+    reference_rational_roots,
+    reference_rref,
+    scalar_matrix,
+)
 
 F = Fraction
 
@@ -46,12 +54,12 @@ def matrices(n_min=1, n_max=4):
     )
 
 
-def sparse_matrices(n_max=9):
+def sparse_matrices(n_max=9, entries=small_fracs):
     """Mostly-zero matrices: a few nonzero entries at random positions."""
     return st.integers(1, n_max).flatmap(
         lambda n: st.dictionaries(
             st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-            small_fracs,
+            entries,
             max_size=2 * n,
         ).map(
             lambda entries: Matrix(
@@ -632,6 +640,81 @@ class TestCharpoly:
         # cuts the recurrence, and the result is the product of the blocks'
         M = mat([[0, -1, 0], [1, 0, 0], [0, 0, 2]])
         assert charpoly(M) == (F(-2), F(1), F(-2), F(1))
+
+
+def _monic_from_roots(roots):
+    """Coefficients, low degree first and without the leading 1, of the
+    product of t - r over the roots."""
+    poly = [F(1)]
+    for r in roots:
+        poly = [a - r * b for a, b in zip([F(0)] + poly, poly + [F(0)])]
+    return poly[:-1]
+
+
+class TestIntegerSpectra:
+    """charpoly and rational_eigenvalues run on the integer form (D, DM);
+    the references run the Hessenberg method and the root search over
+    Fraction entries."""
+
+    @staticmethod
+    def assert_integer_route(M):
+        n = M.nrows
+        poly = charpoly(M)
+        assert poly == reference_charpoly(M)
+        for t in range(n + 2):
+            assert poly_eval(poly, F(t)) == det(scalar_matrix(n, t) - M)
+        roots = reference_rational_roots(poly)
+        assert rational_eigenvalues(M) == (roots, sum(m for _, m in roots) == n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_matrices(9, st.builds(
+        F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 5, 7, 9]))))
+    def test_mixed_denominators(self, M):
+        self.assert_integer_route(M)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_matrices(9, st.sampled_from([F(2), F(3), F(-4), F(6), F(9)])))
+    def test_pivots_that_do_not_divide(self, M):
+        # a pivot often does not divide the entry below it (2 over 3, -4
+        # over 6, 6 over 9), which forces the rescale
+        self.assert_integer_route(M)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.tuples(eigen_operators(4), eigen_operators(5)))
+    def test_zero_subdiagonals(self, blocks):
+        # a block-diagonal matrix has a zero subdiagonal entry between the
+        # blocks, and triangular blocks have zero columns below the pivot
+        self.assert_integer_route(_block_diagonal(*blocks))
+
+    @settings(max_examples=40, deadline=None)
+    @given(triangular_matrices(9), st.booleans())
+    def test_triangular_weights(self, M, lower):
+        if lower:
+            M = Matrix(list(zip(*M.rows)))
+        self.assert_integer_route(M)
+        weights = Counter(M.rows[i][i] for i in range(M.nrows))
+        assert rational_eigenvalues(M) == (sorted(weights.items()), True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(small_fracs, min_size=1, max_size=9), st.integers(0, 2))
+    def test_companion_of_rational_roots(self, roots, rotations):
+        # (t - r) for each r, times t^2 + 1 for each rotation: an
+        # irreducible factor that leaves the spectrum only partly rational
+        coeffs = _monic_from_roots(roots)
+        for _ in range(rotations):
+            coeffs = [a + b for a, b in zip(coeffs + [F(1), F(0)], [F(0), F(0)] + coeffs)]
+        M = _companion(coeffs)
+        self.assert_integer_route(M)
+        eigs, full = rational_eigenvalues(M)
+        assert eigs == sorted(Counter(roots).items()) and full == (rotations == 0)
+
+    def test_rescale_twice(self):
+        # D = 2: column 0 of DM takes a row swap, then its pivot -2 does not
+        # divide the 1 below it (q = 2); column 1 takes q = 4
+        M = mat([[F(3, 2), 0, -1, -1], [0, 1, -1, 0], [-1, 0, 2, 1], [F(1, 2), 0, -1, 0]])
+        assert charpoly(M) == (F(1), F(-9, 2), F(7), F(-9, 2), F(1))
+        self.assert_integer_route(M)
+        assert rational_eigenvalues(M) == ([(F(1, 2), 1), (F(1), 2), (F(2), 1)], True)
 
 
 class TestVec:

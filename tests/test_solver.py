@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lielike import (
     DimensionMismatch,
@@ -35,7 +36,7 @@ from lielike import (
     weight_space,
 )
 from lielike import solver, verify
-from lielike.linalg import vec
+from lielike.linalg import common_eigenspace, vec
 from reference_solver import recursive_solve
 from strategies import AFF1, bundle, valid_instances
 
@@ -48,6 +49,16 @@ def span(n, rows):
 
 def fvec(xs):
     return vec(F(x) for x in xs)
+
+
+def weight_by_products(M, v, w):
+    """verify_weight by Fraction matrix-vector products."""
+    return any(v) and all(
+        op.apply(v) == tuple(lam * x for x in v)
+        for fam, grid in ((M.F, w.phi), (M.G, w.psi))
+        for fk, row in zip(fam, grid)
+        for op, lam in zip(fk, row)
+    )
 
 
 def zero_weight(s, n):
@@ -148,6 +159,36 @@ class TestVerifyWeight:
 
     def test_zero_vector_rejected(self, leib2):
         assert not verify_weight(adjoint(leib2), fvec([0, 0]), zero_weight(1, 2))
+
+    @pytest.mark.parametrize("t", [F(1), F(3, 5), F(-1, 7)])
+    def test_nonzero_weight(self, t):
+        # adjoint(t aff(1)): phi = psi = (0, t) on the vector solve finds
+        L = bundle(AFF1, [t])
+        M = adjoint(L)
+        res = solve(L, M)
+        phi, psi = res.weight.phi, res.weight.psi
+        assert phi == psi == ((F(0), t),)
+        assert verify_weight(M, res.v, res.weight)
+        assert verify_weight(M, tuple(F(-3, 7) * x for x in res.v), res.weight)
+        assert not verify_weight(M, res.v, Weight(((F(0), 2 * t),), psi))
+        assert not verify_weight(M, res.v, Weight(phi, ((F(0), F(0)),)))
+        assert not verify_weight(M, fvec([0, 0]), res.weight)
+
+    @settings(max_examples=40, deadline=None)
+    @given(valid_instances(), st.data())
+    def test_matches_fraction_products(self, instance, data):
+        L, M = instance
+        res = outcome(solve, L, M)
+        if not isinstance(res, solver.SolveResult):
+            return
+        phi, psi = res.weight.phi, res.weight.psi
+        k, i = data.draw(st.integers(0, L.s - 1)), data.draw(st.integers(0, L.dim - 1))
+        bump = tuple(tuple(x + (a == k and b == i) for b, x in enumerate(row))
+                     for a, row in enumerate(phi))
+        v = data.draw(st.sampled_from([res.v, tuple(F(2, 3) * x for x in res.v),
+                                       M.F[k][i].apply(res.v), (F(0),) * M.vdim]))
+        for w in (res.weight, Weight(bump, psi), Weight(phi, bump)):
+            assert verify_weight(M, v, w) == weight_by_products(M, v, w)
 
 
 class TestCheckDichotomy:
@@ -433,3 +474,118 @@ class TestFlagMatchesRecursion:
     def test_valid_instances(self, instance):
         L, M = instance
         assert outcome(solve, L, M) == outcome(recursive_solve, L, M)
+
+
+class TestGrownWeightSpace:
+    """At every level, the weight space solve carries equals the one
+    weight_space computes from all of Q^m; it is recomputed only where the
+    functionals do not extend those of the level below."""
+
+    @pytest.fixture
+    def levels(self, monkeypatch):
+        return record_levels(monkeypatch)
+
+    @staticmethod
+    def run(levels, L, M):
+        """solve's outcome, after checking that levels 0, 1, ... were
+        recorded in order and recomputed exactly where w does not extend
+        the level below's functionals."""
+        levels.clear()
+        levels.recomputed = 0
+        got = outcome(solve, L, M)
+        previous = None
+        for j, (FA, w, _, recomputed) in enumerate(levels):
+            assert all(len(fk) == j for fk in FA)
+            rows = w.phi + w.psi
+            extends = previous is None or all(
+                new[:-1] == old for new, old in zip(rows, previous))
+            assert recomputed == (not extends)
+            previous = rows
+        if isinstance(got, solver.SolveResult):
+            assert len(levels) == L.dim
+        return got
+
+    @pytest.mark.parametrize("name", ["leib2", "nt3", "aff2"])
+    def test_fixtures_only_grow(self, levels, name, request):
+        L = request.getfixturevalue(name)
+        assert isinstance(self.run(levels, L, adjoint(L)), solver.SolveResult)
+        assert levels.recomputed == 0
+
+    @pytest.mark.parametrize("ts", [[F(1)], [F(2)], [F(3, 5), F(3, 5)], [F(-1, 7)] * 3])
+    def test_aff1_bundles_with_nonzero_weights(self, levels, ts):
+        L = bundle(AFF1, ts)
+        res = self.run(levels, L, adjoint(L))
+        assert all(row == (0, t) for row, t in zip(res.weight.phi, ts))
+
+    @pytest.mark.parametrize("ts", [[F(-1)], [F(-2, 3)] * 2])
+    def test_nonzero_weight_carried_up(self, levels, ts):
+        # aff(1) + aff(1): x_2 = e_1 gets the weight t < 0, the smallest
+        # eigenvalue of its operators, and the two levels above grow with it
+        L = bundle(AFF1_SUM, ts)
+        res = self.run(levels, L, adjoint(L))
+        assert res.dichotomy == "phi-equals-psi"
+        assert [w.phi[0][1:2] for _, w, _, _ in levels[2:]] == [(ts[0],)] * 2
+
+    def test_proof_gap_branches(self, levels, proof_gap):
+        got = self.run(levels, proof_gap, adjoint(proof_gap))
+        assert got == (TheoremViolation, "recursive weight space lost its weight vector")
+        # level 0 takes ann-nonzero/g-zero with the weight 0 on x_1, and
+        # level 1 ann-nonzero/g-nonzero, whose reset to zero functionals
+        # extends that weight: U grows at every level
+        assert [recomputed for *_, recomputed in levels] == [False] * 3
+
+    def test_reset_recomputes(self):
+        # no known instance resets nonzero functionals below its top level,
+        # so the rule is run on aff(1) + aff(1) by hand: U holds the weight
+        # (0, -1) on x_1, x_2, and the zero functionals on x_1..x_3 do not
+        # extend it
+        L = bundle(AFF1_SUM, [F(-1)])
+        M = adjoint(L)
+        xs = solver._flag(L)[:3]
+        FA, GA = [[M.f(0, x) for x in xs]], [[M.g(0, x) for x in xs]]
+        held = Weight(((F(0), F(-1)),), ((F(0), F(-1)),))
+        U = weight_space(4, [FA[0][:2]], [GA[0][:2]], held)
+        w = Weight(((F(0),) * 3,), ((F(0),) * 3,))
+        got = solver._next_weight_space(U, held, FA, GA, w)
+        assert got == weight_space(4, FA, GA, w) == span(4, [[0, 0, 1, 0]])
+        # growing U instead would keep e_0, whose weight on x_2 = e_1 is -1
+        grown = common_eigenspace(solver._weight_pairs(FA, GA, w, 2), U)
+        assert grown == span(4, [[1, 0, 0, 0]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_instances())
+    def test_valid_instances(self, instance):
+        with pytest.MonkeyPatch.context() as mp:
+            self.run(record_levels(mp), *instance)
+
+
+# aff(1) + aff(1): <e_1, e_0> = e_0 and <e_3, e_2> = e_2
+AFF1_SUM = {(1, 0): [1, 0, 0, 0], (0, 1): [-1, 0, 0, 0],
+            (3, 2): [0, 0, 1, 0], (2, 3): [0, 0, -1, 0]}
+
+
+class LevelLog(list):
+    recomputed = 0
+
+
+def record_levels(monkeypatch):
+    """A LevelLog that the solves that follow fill with (FA, w, U,
+    recomputed) for each level; its `recomputed` counts weight_space calls.
+    Each U is checked against weight_space from all of Q^m as it is made."""
+    seen = LevelLog()
+    grow, recompute = solver._next_weight_space, solver.weight_space
+
+    def counted(*args):
+        seen.recomputed += 1
+        return recompute(*args)
+
+    def recorded(U, held, FA, GA, w):
+        before = seen.recomputed
+        out = grow(U, held, FA, GA, w)
+        assert out == recompute(U.ambient, FA, GA, w)
+        seen.append((FA, w, out, seen.recomputed > before))
+        return out
+
+    monkeypatch.setattr(solver, "weight_space", counted)
+    monkeypatch.setattr(solver, "_next_weight_space", recorded)
+    return seen

@@ -8,11 +8,18 @@ that module.
 """
 
 import ast
+import importlib
+import sys
+from collections import Counter
 from pathlib import Path
 
 import lielike
+from lielike import adjoint, run_verify
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmarks"))
+import tracing  # noqa: E402
+
 LIBRARY = sorted((ROOT / "src" / "lielike").glob("*.py"))
 CALLERS = LIBRARY + sorted((ROOT / "benchmarks").glob("*.py"))
 
@@ -91,6 +98,42 @@ def test_no_unused_imports_in_library_modules():
         for name in unused_imports(path.name, parse(path))
     ]
     assert found == []
+
+
+# (module, attribute) targets of benchmarks/tracing.py known not to resolve:
+# check_algebra lives in modules, and det left the library.  The change that
+# re-points the benchmark at them empties this set.
+STALE_TRACE_TARGETS = {("algebra", "check_algebra"), ("linalg", "det")}
+STALE_SPANS = {name for module, attr, name in tracing.SPANNED
+               if (module, attr) in STALE_TRACE_TARGETS}
+
+
+def test_trace_targets_resolve():
+    """Every SPANNED and COUNTED target of the benchmark's tracer names a
+    function in src/lielike, as Tracer.installed looks it up, and every
+    VERIFY_STAGES span is one of them."""
+    unresolved = set()
+    for module, attr, _ in tracing.SPANNED + tracing.COUNTED:
+        owner = importlib.import_module(f"lielike.{module}")
+        *cls, name = attr.split(".")
+        if cls:
+            owner = getattr(owner, cls[0], None)
+        if owner is None or vars(owner).get(name) is None:
+            unresolved.add((module, attr))
+    assert unresolved == STALE_TRACE_TARGETS
+    spans = {name for *_, name in tracing.SPANNED} - STALE_SPANS
+    stages = {name for names in tracing.VERIFY_STAGES.values() for name in names}
+    assert stages - spans <= STALE_SPANS
+
+
+def test_spectra_stay_on_the_traced_path(aff2):
+    with tracing.Tracer().installed() as tracer:
+        _, code = run_verify(aff2, adjoint(aff2))
+    assert code == 0 and set(tracer.missing) == STALE_SPANS
+    calls = Counter(name for _, _, name, *_ in tracer.spans)
+    for name in ("charpoly", "rational_roots", "rational_eigenvalues", "joint_eigenspace"):
+        assert calls[f"linalg.{name}"] > 0
+    assert calls["solver.verify_weight"] == 1
 
 
 class TestGuardItself:
