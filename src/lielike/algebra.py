@@ -7,6 +7,9 @@ identities are the Jacobi-like identity
     <<x,y>_k, z>_h = <x, <y,z>_h>_k + <<x,z>_h, y>_k
 
 and the index-swap identity <<x,y>_k, z>_h = <<x,y>_h, z>_k.
+
+Codimension-1 splits run on subalgebras A held as subspaces of L, one
+elimination per split deciding how A's basis extends D^2 A.
 """
 
 from __future__ import annotations
@@ -152,19 +155,21 @@ def split_codim1(L: LieLikeAlgebra) -> tuple[Subspace, Vector]:
     """
     if L.dim < 1:
         raise DimensionMismatch("split needs dim >= 1")
-    d2 = derived_algebra(L)
-    if d2.dim == L.dim:
+    return _split_codim1(L, Subspace.full(L.dim))
+
+
+def _split_codim1(L: LieLikeAlgebra, A: Subspace) -> tuple[Subspace, Vector]:
+    """split_codim1 of a nonzero subalgebra A of L, with A's canonical basis
+    for the standard one: basis vector i is appended iff no vector of D^2 A
+    has its last nonzero coordinate (entries at A's pivots) at i."""
+    m, basis = A.dim, A.basis
+    brackets = [bracket(L, a, b, k) for a in basis for b in basis for k in range(L.s)]
+    rev = Subspace.span(m, [[w[p] for p in reversed(A.pivots)] for w in brackets])
+    appended = [i for i in range(m) if m - 1 - i not in rev.pivots]
+    if not appended:
         raise NotSolvable("D^2 L = L blocks the codimension-1 split")
-    current = d2
-    appended: list[Vector] = []
-    for i in range(L.dim):
-        ei = unit_vec(L.dim, i)
-        if not current.contains(ei):
-            appended.append(ei)
-            current = current.add(Subspace.span(L.dim, [ei]))
-    x = appended[-1]
-    A = Subspace.span(L.dim, list(d2.basis) + appended[:-1])
-    return A, x
+    ideal = Subspace.span(L.dim, brackets + [basis[i] for i in appended[:-1]])
+    return ideal, basis[appended[-1]]
 
 
 def restrict_algebra(L: LieLikeAlgebra, A: Subspace) -> LieLikeAlgebra:

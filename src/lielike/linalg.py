@@ -624,12 +624,12 @@ def common_eigenspace(
     pairs: Iterable[tuple[Matrix, Fraction]], within: Subspace
 ) -> Subspace:
     """{v in within : op v = lam v for every (op, lam) pair}, one eigen-step
-    per pair in order; stops consuming pairs once the space is zero."""
+    per pair in order; reads no pair after a step leaves the zero space."""
     space = within
     for op, lam in pairs:
+        space = eigenspace(op, lam, space)
         if space.dim == 0:
             break
-        space = eigenspace(op, lam, space)
     return space
 
 

@@ -2,9 +2,10 @@
 with the supporting lemma checks and an independent brute-force oracle.
 
 The main entry point `solve` follows the inductive proof along a flag
-x_1, ..., x_n computed once, A_j = span(x_1..x_j) an ideal of codimension 1
-in A_{j+1}: level j holds the joint weight space U of the functionals found
-over A_{j-1} and branches on whether it meets the plus annihilator of A_j.
+x_1, ..., x_n computed once, each A_j = span(x_1..x_j) an ideal of
+codimension 1 in A_{j+1}, split off it as a subspace of L.  Level j holds
+the joint weight space U of the functionals found over A_{j-1} and
+branches on whether it meets the plus annihilator of A_j.
 U grows level by level: where the new functionals extend the old, it is
 the old U cut by the eigen-steps of x_{j-1}'s operators; else it is
 computed afresh from all of Q^m.
@@ -22,6 +23,7 @@ from typing import Sequence
 
 from .algebra import (
     LieLikeAlgebra,
+    _split_codim1,
     bracket,
     derived_algebra,
     is_solvable,
@@ -43,7 +45,6 @@ from .linalg import (
     Vector,
     _primitive_ints,
     _reduce,
-    combine,
     commutator,
     common_eigenspace,
     eigenspace,
@@ -229,16 +230,11 @@ def solve(L: LieLikeAlgebra, M: OrdinaryModule) -> SolveResult:
 
 def _flag(L: LieLikeAlgebra) -> list[Vector]:
     """x_1, ..., x_n in L's coordinates, each A_j = span(x_1..x_j) an ideal
-    of codimension 1 in A_{j+1}: split_codim1 and restrict_algebra run down
-    from L, each level's x mapped back through the level's basis."""
-    n, level = L.dim, L
-    basis = L.basis()  # the level's basis, in L's coordinates
-    xs = []
-    while level.dim:
-        A, x = split_codim1(level)
-        xs.append(combine(zip(x, basis), n))
-        basis = [combine(zip(a, basis), n) for a in A.basis]
-        level = restrict_algebra(level, A)
+    of codimension 1 in A_{j+1}, split off it as a subspace of L."""
+    A, xs = Subspace.full(L.dim), []
+    while A.dim:
+        A, x = _split_codim1(L, A)
+        xs.append(x)
     return xs[::-1]
 
 
@@ -437,9 +433,10 @@ def split_setup(L: LieLikeAlgebra, M: OrdinaryModule) -> SplitSetup:
 def oracle_solve(
     L: LieLikeAlgebra, M: OrdinaryModule
 ) -> list[tuple[Subspace, Weight]]:
-    """Every maximal joint weight space, by exhaustive eigenspace
-    intersection over the full operator family (all f's by (k, i), then all
-    g's), pruning empty intersections.  Independent of the solver's logic.
+    """Every maximal joint weight space, by exhaustive search over the full
+    operator family (all f's by (k, i), then all g's): each front is cut by
+    the eigen-step, inside it, of each rational eigenvalue of the next
+    operator, and empty cuts are pruned.  Independent of the solver's logic.
     When no space survives, raises NonSplitSpectrum if some operator has
     an irrational spectrum, else NotSolvable if the algebra is not solvable.
     """
@@ -448,21 +445,18 @@ def oracle_solve(
         raise DimensionMismatch("oracle needs a nonzero module")
     ops = [M.F[k][i] for k in range(s) for i in range(n)]
     ops += [M.G[k][i] for k in range(s) for i in range(n)]
-    full = Subspace.full(m)
-    fronts: list[tuple[Subspace, tuple[Fraction, ...]]] = [(full, ())]
+    fronts: list[tuple[Subspace, tuple[Fraction, ...]]] = [(Subspace.full(m), ())]
     saw_nonsplit = False
     for op in ops:
         roots, fully = rational_eigenvalues(op)
         if not fully:
             saw_nonsplit = True
-        eigenspaces = [(lam, eigenspace(op, lam, full)) for lam, _ in roots]
-        new = []
-        for space, assignment in fronts:
-            for lam, eig in eigenspaces:
-                cut = space.intersect(eig)
-                if cut.dim > 0:
-                    new.append((cut, assignment + (lam,)))
-        fronts = new
+        fronts = [
+            (cut, assignment + (lam,))
+            for space, assignment in fronts
+            for lam, _ in roots
+            if (cut := eigenspace(op, lam, space)).dim > 0
+        ]
         if not fronts:
             break
     if not fronts:

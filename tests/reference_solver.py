@@ -6,6 +6,12 @@ there, recomputes the plus annihilator of the module it was given, and
 converts the functionals to its own standard basis by inverting the basis
 (A's basis, x).  `solve` computes the same flag once and runs the levels in
 one loop; the two must agree on every instance, result and error alike.
+
+The split, the flag and the oracle have references here too: the greedy
+split extends D^2 L one standard vector at a time, the flag restricts the
+algebra at every level and maps each x back through the level's basis,
+and the oracle intersects each front with the operator's eigenspaces on
+the whole space.
 """
 
 from fractions import Fraction
@@ -13,21 +19,27 @@ from fractions import Fraction
 from lielike import (
     DimensionMismatch,
     Matrix,
+    NonSplitSpectrum,
     NotInvariant,
+    NotSolvable,
     SolveResult,
+    Subspace,
     TheoremViolation,
     Weight,
     check_dichotomy,
+    derived_algebra,
+    eigenspace,
+    is_solvable,
     joint_eigenspace,
     joint_eigenvector,
     plus_annihilator,
+    rational_eigenvalues,
     restrict_algebra,
     restrict_module,
-    split_codim1,
     verify_weight,
     weight_space,
 )
-from lielike.linalg import inverse, is_zero_vec, unit_vec, vec, zero_vec
+from lielike.linalg import combine, inverse, is_zero_vec, unit_vec, vec, zero_vec
 from lielike.solver import (
     TAG_ANN_G_NONZERO,
     TAG_ANN_G_ZERO,
@@ -57,7 +69,7 @@ def _solve(L, M):
         empty = tuple(() for _ in range(s))
         return unit_vec(M.vdim, 0), empty, empty, []
 
-    A, x = split_codim1(L)
+    A, x = greedy_split(L)
     LA = restrict_algebra(L, A)
     MA = restrict_module(M, A, LA)
     v_rec, phi_rec, psi_rec, trace_rec = _solve(LA, MA)
@@ -137,3 +149,83 @@ class _FunctionalExtender:
             self._B_inv.apply(tuple(row) + (Fraction(lam),))
             for row, lam in zip(grid_on_a, x_values, strict=True)
         )
+
+
+def greedy_split(L):
+    """`split_codim1`, one standard basis vector at a time: e_i is
+    appended when D^2 L plus the vectors before it does not contain it."""
+    if L.dim < 1:
+        raise DimensionMismatch("split needs dim >= 1")
+    d2 = derived_algebra(L)
+    if d2.dim == L.dim:
+        raise NotSolvable("D^2 L = L blocks the codimension-1 split")
+    current = d2
+    appended = []
+    for i in range(L.dim):
+        ei = unit_vec(L.dim, i)
+        if not current.contains(ei):
+            appended.append(ei)
+            current = current.add(Subspace.span(L.dim, [ei]))
+    x = appended[-1]
+    A = Subspace.span(L.dim, list(d2.basis) + appended[:-1])
+    return A, x
+
+
+def chain_levels(L):
+    """(basis of A, x) for each level from the top, in L's coordinates:
+    greedy_split and restrict_algebra run down from L, and each level's x
+    and A's basis are mapped back through the level's basis."""
+    n, level = L.dim, L
+    basis = L.basis()  # the level's basis, in L's coordinates
+    levels = []
+    while level.dim:
+        A, x = greedy_split(level)
+        x = combine(zip(x, basis), n)
+        basis = [combine(zip(a, basis), n) for a in A.basis]
+        levels.append((tuple(basis), x))
+        level = restrict_algebra(level, A)
+    return levels
+
+
+def chain_flag(L):
+    """x_1, ..., x_n of the restricted-algebra chain."""
+    return [x for _, x in chain_levels(L)][::-1]
+
+
+def intersecting_oracle(L, M):
+    """`oracle_solve` by eigenspaces on the whole space: each front is
+    intersected with every eigenspace of the next operator."""
+    n, s, m = L.dim, L.s, M.vdim
+    if m < 1:
+        raise DimensionMismatch("oracle needs a nonzero module")
+    ops = [M.F[k][i] for k in range(s) for i in range(n)]
+    ops += [M.G[k][i] for k in range(s) for i in range(n)]
+    full = Subspace.full(m)
+    fronts = [(full, ())]
+    saw_nonsplit = False
+    for op in ops:
+        roots, fully = rational_eigenvalues(op)
+        if not fully:
+            saw_nonsplit = True
+        eigenspaces = [(lam, eigenspace(op, lam, full)) for lam, _ in roots]
+        new = []
+        for space, assignment in fronts:
+            for lam, eig in eigenspaces:
+                cut = space.intersect(eig)
+                if cut.dim > 0:
+                    new.append((cut, assignment + (lam,)))
+        fronts = new
+        if not fronts:
+            break
+    if not fronts:
+        if saw_nonsplit:
+            raise NonSplitSpectrum("some operator has an irrational spectrum")
+        if not is_solvable(L)[0]:
+            raise NotSolvable("no joint weight space: the algebra is not solvable")
+        raise TheoremViolation("no joint weight space found on a valid instance")
+    return [
+        (space, Weight(
+            tuple(tuple(a[k * n + i] for i in range(n)) for k in range(s)),
+            tuple(tuple(a[s * n + k * n + i] for i in range(n)) for k in range(s))))
+        for space, a in fronts
+    ]

@@ -66,6 +66,25 @@ def valid_instances(draw):
     return transform_instance(L, M, P)
 
 
+@st.composite
+def unimodular(draw, n):
+    """LU for unitriangular integer L (lower) and U (upper), entries -2..2."""
+    entry = st.integers(-2, 2)
+    lower = [[1 if i == j else draw(entry) if j < i else 0 for j in range(n)]
+             for i in range(n)]
+    upper = [[1 if i == j else draw(entry) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+    return Matrix(lower) @ Matrix(upper)
+
+
+@st.composite
+def basis_changed_instances(draw):
+    """A valid instance in a random unimodular basis, where the derived
+    algebra is seldom spanned by standard basis vectors."""
+    L, M = draw(valid_instances())
+    return transform_instance(L, M, draw(unimodular(L.dim)))
+
+
 def shifted_algebra(L, shifts):
     """L with the structure constants ((k, i, j, a), delta) shifted."""
     c = [[[list(v) for v in row] for row in tk] for tk in L.c]

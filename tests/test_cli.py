@@ -122,6 +122,21 @@ class TestHappyPaths:
         code, _ = run(capsys, "verify", out_file)
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["adjoint", "ALGEBRA"],
+        ["generate", "--construction", "basis-changed", "--dim", "3", "--s", "2",
+         "--seed", "1"],
+    ])
+    def test_without_output_prints_what_output_writes(self, tmp_path, capsys, nt3,
+                                                      argv):
+        argv = [write_algebra(tmp_path, nt3) if a == "ALGEBRA" else a for a in argv]
+        code, printed, err = run_captured(capsys, *argv)
+        assert (code, err) == (0, "")
+        out_file = tmp_path / "out.json"
+        code, out = run(capsys, *argv, "-o", str(out_file))
+        assert (code, out) == (0, f"wrote {out_file}\n")
+        assert out_file.read_bytes() == printed.encode()
+
     def test_oracle_reports_entries(self, tmp_path, capsys, leib2):
         path = write_instance(tmp_path, leib2, adjoint(leib2))
         code, out = run(capsys, "oracle", path, "--json")
@@ -142,6 +157,21 @@ class TestViolationExits:
         code, out = run(capsys, "check-algebra", str(path), "--json")
         assert code == 1
         assert not json.loads(out)["ok"]
+
+    def test_verify_stops_at_algebra_axioms(self, tmp_path, capsys):
+        # <e1,e1> = e1 breaks the bracket identity; its adjoint module is
+        # never checked
+        L = LieLikeAlgebra.from_constants(1, 1, {(0, 0, 0): [1]})
+        path = write_instance(tmp_path, L, adjoint(L))
+        code, out, err = run_captured(capsys, "verify", path)
+        assert (code, out, err) == (1, "algebra-axioms: FAILED\nverdict: FAILED\n", "")
+        code, out, err = run_captured(capsys, "verify", path, "--json")
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert list(report["checks"]) == ["algebra-axioms"] and not report["ok"]
+        axioms = report["checks"]["algebra-axioms"]
+        assert not axioms["ok"] and axioms["violations"]
+        assert "solvable" not in report["checks"]
 
     @pytest.mark.parametrize("algebra", ["sl2", "sl2_plus_line"])
     def test_solve_nonsolvable(self, tmp_path, capsys, request, algebra):

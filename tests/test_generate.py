@@ -1,6 +1,11 @@
 import hashlib
+import io
+import json
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lielike import (
     CONSTRUCTIONS,
@@ -12,6 +17,7 @@ from lielike import (
     is_trivial,
     run_verify,
 )
+from lielike import cli
 from lielike.serialize import (
     MAX_SIZE,
     dumps,
@@ -124,6 +130,25 @@ class TestRoundTrip:
         assert L == inst.algebra
         assert M == inst.module
         assert meta == inst.metadata
+
+
+class TestCanonicalFixedPoint:
+    """Canonical JSON text is a fixed point of parsing and dumping."""
+
+    @pytest.mark.parametrize("construction", CONSTRUCTIONS)
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**16))
+    def test_instance_and_solve_output(self, tmp_path_factory, construction, n, s, seed):
+        inst = generate(GeneratorSpec(construction, n, s, seed))
+        text = dumps(instance_to_json(inst.algebra, inst.module, inst.metadata))
+        L, M, meta = instance_from_json(json.loads(text))
+        assert dumps(instance_to_json(L, M, meta)) == text
+        path = tmp_path_factory.mktemp("fixed-point") / "instance.json"
+        path.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(["solve", "--json", str(path)]) == 0
+        assert dumps(json.loads(out.getvalue())) == out.getvalue()
 
 
 # sha256 of the canonical instance JSON and of the canonical verify report

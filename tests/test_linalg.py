@@ -11,6 +11,7 @@ from lielike.linalg import (
     Subspace,
     charpoly,
     combine,
+    common_eigenspace,
     eigenspace,
     inverse,
     is_invariant,
@@ -503,6 +504,28 @@ class TestEigenspaceWithin:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
             eigenspace(Matrix.identity(2), F(1), Subspace.full(3))
+
+
+class TestCommonEigenspace:
+    def test_reads_no_pair_after_the_space_is_zero(self):
+        # diag(1, 2): the eigenvalue 1 leaves span(e0), then 2 leaves zero
+        M = mat([[1, 0], [0, 2]])
+        read = []
+
+        def pairs():
+            for lam in (F(1), F(2), F(1)):
+                assert len(read) < 2, "read a pair after the space became zero"
+                read.append(lam)
+                yield M, lam
+
+        assert common_eigenspace(pairs(), Subspace.full(2)) == Subspace.zero(2)
+        assert read == [F(1), F(2)]
+
+    def test_all_pairs_read_while_nonzero(self):
+        M = mat([[1, 0], [0, 2]])
+        pairs = [(M, F(1)), (M @ M, F(1)), (Matrix.identity(2), F(1))]
+        got = common_eigenspace(iter(pairs), Subspace.full(2))
+        assert got == Subspace.span(2, [vec([1, 0])])
 
 
 def old_joint_eigenspace(family, within):

@@ -37,8 +37,21 @@ from lielike import (
 )
 from lielike import solver, verify
 from lielike.linalg import common_eigenspace, vec
-from reference_solver import recursive_solve
-from strategies import AFF1, bundle, valid_instances
+from lielike.algebra import _split_codim1
+from reference_solver import (
+    chain_flag,
+    chain_levels,
+    greedy_split,
+    intersecting_oracle,
+    recursive_solve,
+)
+from strategies import (
+    AFF1,
+    basis_changed_instances,
+    bundle,
+    perturbed_modules,
+    valid_instances,
+)
 
 F = Fraction
 
@@ -393,7 +406,7 @@ class TestAnnihilatorOnce:
         for module, name in ((verify, "plus_annihilator"),
                              (solver, "plus_annihilator"),
                              (solver, "restrict_module"),
-                             (solver, "split_codim1"),
+                             (solver, "_split_codim1"),
                              (solver, "inverse")):
             def counted(*args, _name=name, _fn=getattr(module, name)):
                 counts[_name] += 1
@@ -415,7 +428,7 @@ class TestAnnihilatorOnce:
                      (aff2, adjoint(aff2)), (graded.algebra, graded.module)):
             calls.clear()
             solve(L, M)
-            assert calls == {"split_codim1": L.dim, "inverse": 1}
+            assert calls == {"_split_codim1": L.dim, "inverse": 1}
 
 
 class TestUnverifiedVector:
@@ -474,6 +487,57 @@ class TestFlagMatchesRecursion:
     def test_valid_instances(self, instance):
         L, M = instance
         assert outcome(solve, L, M) == outcome(recursive_solve, L, M)
+
+
+class TestSplitOnSubspaces:
+    """The split on subspaces of L, the flag it gives and the oracle's
+    eigen-steps inside its fronts equal their references: the greedy split
+    down the chain of restricted algebras, and eigenspaces of the whole
+    space intersected with each front."""
+
+    @staticmethod
+    def levels(L):
+        """(basis of A, x) for each level from the top, by the split on
+        subspaces of L."""
+        A, out = Subspace.full(L.dim), []
+        while A.dim:
+            A, x = _split_codim1(L, A)
+            out.append((A.basis, x))
+        return out
+
+    @staticmethod
+    def on_algebra(fn, L):
+        """fn(L), or the type and message of the library error raised."""
+        return outcome(lambda L, _: fn(L), L, None)
+
+    def test_last_nonzero_coordinates_decide(self):
+        # <e_0, e_0> = e_1 + e_2 spans D^2 L, whose last nonzero coordinate
+        # is at 2: e_0 and e_1 are appended, so x = e_1 (the first nonzero
+        # coordinate would append e_0 and e_2 instead)
+        L = LieLikeAlgebra.from_constants(3, 1, {(0, 0, 0): [0, 1, 1]})
+        assert check_algebra(L) == []
+        assert split_codim1(L) == greedy_split(L) == (
+            span(3, [[1, 0, 0], [0, 1, 1]]), fvec([0, 1, 0]))
+        expected = [((fvec([1, 0, 0]), fvec([0, 1, 1])), fvec([0, 1, 0])),
+                    ((fvec([0, 1, 1]),), fvec([1, 0, 0])),
+                    ((), fvec([0, 1, 1]))]
+        assert self.levels(L) == chain_levels(L) == expected
+        assert solver._flag(L) == chain_flag(L) == [x for _, x in expected][::-1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(basis_changed_instances())
+    def test_every_level_matches_the_greedy_chain(self, instance):
+        L, _ = instance
+        assert self.on_algebra(split_codim1, L) == self.on_algebra(greedy_split, L)
+        assert self.on_algebra(self.levels, L) == self.on_algebra(chain_levels, L)
+        assert self.on_algebra(solver._flag, L) == self.on_algebra(chain_flag, L)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(valid_instances(),
+                     perturbed_modules().map(lambda M: (M.algebra, M))))
+    def test_oracle_matches_whole_space_intersections(self, instance):
+        L, M = instance
+        assert outcome(oracle_solve, L, M) == outcome(intersecting_oracle, L, M)
 
 
 class TestGrownWeightSpace:
