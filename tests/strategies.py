@@ -20,7 +20,7 @@ from lielike import (
     adjoint,
     generate,
 )
-from lielike.generate import transform_instance
+from lielike.generate import random_unimodular, transform_instance
 
 # brackets (i, j) -> <e_i, e_j> of Lie algebras that are not nilpotent:
 # unlike the two-step nilpotent algebras of every generator construction,
@@ -67,22 +67,12 @@ def valid_instances(draw):
 
 
 @st.composite
-def unimodular(draw, n):
-    """LU for unitriangular integer L (lower) and U (upper), entries -2..2."""
-    entry = st.integers(-2, 2)
-    lower = [[1 if i == j else draw(entry) if j < i else 0 for j in range(n)]
-             for i in range(n)]
-    upper = [[1 if i == j else draw(entry) if j > i else 0 for j in range(n)]
-             for i in range(n)]
-    return Matrix(lower) @ Matrix(upper)
-
-
-@st.composite
 def basis_changed_instances(draw):
     """A valid instance in a random unimodular basis, where the derived
     algebra is seldom spanned by standard basis vectors."""
     L, M = draw(valid_instances())
-    return transform_instance(L, M, draw(unimodular(L.dim)))
+    rng = draw(st.randoms(use_true_random=False))
+    return transform_instance(L, M, random_unimodular(rng, L.dim, 2))
 
 
 def shifted_algebra(L, shifts):

@@ -521,12 +521,6 @@ class TestCommonEigenspace:
         assert common_eigenspace(pairs(), Subspace.full(2)) == Subspace.zero(2)
         assert read == [F(1), F(2)]
 
-    def test_all_pairs_read_while_nonzero(self):
-        M = mat([[1, 0], [0, 2]])
-        pairs = [(M, F(1)), (M @ M, F(1)), (Matrix.identity(2), F(1))]
-        got = common_eigenspace(iter(pairs), Subspace.full(2))
-        assert got == Subspace.span(2, [vec([1, 0])])
-
 
 def old_joint_eigenspace(family, within):
     """Restrict, take the kernel in restricted coordinates, lift back: the
