@@ -67,19 +67,6 @@ def _fail(problem, code: int) -> int:
     return code
 
 
-def _first_violation(L, M) -> str | None:
-    """The first failing algebra identity or module axiom, with its witness."""
-    violations = check_algebra(L)
-    if violations:
-        v = violations[0]
-        return f"algebra identity {v.identity} fails at (i,j,l,k,h)={v.witness}"
-    mod_violations = check_module(M)
-    if mod_violations:
-        v = mod_violations[0]
-        return f"module axiom {v.axiom} fails at (k,h,i,j)={v.witness}"
-    return None
-
-
 def _write(text: str, output: str | None) -> int:
     """Print text, or write it to the file named by output."""
     if not output:
@@ -186,40 +173,41 @@ def cmd_adjoint(args) -> int:
     return _write(serialize.dumps(serialize.instance_to_json(L, M)), args.output)
 
 
-def cmd_solve(args) -> int:
+def _checked_run(args, compute, render) -> int:
+    """Load args.file, check its algebra identities and module axioms, and
+    emit render(compute(L, M)); the first failing axiom (with its witness)
+    or an error of compute is one stderr line and an exit code."""
     L, M, _ = _load_instance(args.file)
-    violation = _first_violation(L, M)
-    if violation:
-        return _fail(violation, EXIT_VIOLATION)
+    if violations := check_algebra(L):
+        v = violations[0]
+        return _fail(f"algebra identity {v.identity} fails at (i,j,l,k,h)={v.witness}",
+                     EXIT_VIOLATION)
+    if violations := check_module(M):
+        v = violations[0]
+        return _fail(f"module axiom {v.axiom} fails at (k,h,i,j)={v.witness}", EXIT_VIOLATION)
     try:
-        result = solve(L, M)
+        result = compute(L, M)
     except (NotSolvable, TheoremViolation) as exc:
         return _fail(exc, EXIT_VIOLATION)
     except (NonSplitSpectrum, DimensionMismatch) as exc:
         return _fail(exc, EXIT_INVALID)
+    payload, lines = render(result)
+    _emit(payload, args.json, lines)
+    return 0
+
+
+def _solve_output(result):
     payload = serialize.result_to_json(result)
-    lines = [
+    return payload, [
         "v = " + " ".join(payload["v"]),
         "phi = " + json.dumps(payload["phi"]),
         "psi = " + json.dumps(payload["psi"]),
         f"dichotomy: {result.dichotomy}",
         f"branch trace: {', '.join(result.branch_trace) or '(base case)'}",
     ]
-    _emit(payload, args.json, lines)
-    return 0
 
 
-def cmd_oracle(args) -> int:
-    L, M, _ = _load_instance(args.file)
-    violation = _first_violation(L, M)
-    if violation:
-        return _fail(violation, EXIT_VIOLATION)
-    try:
-        entries = oracle_solve(L, M)
-    except (NotSolvable, TheoremViolation) as exc:
-        return _fail(exc, EXIT_VIOLATION)
-    except (NonSplitSpectrum, DimensionMismatch) as exc:
-        return _fail(exc, EXIT_INVALID)
+def _oracle_output(entries):
     payload = {
         "entries": [
             {
@@ -236,8 +224,15 @@ def cmd_oracle(args) -> int:
             f"  dim {space.dim}, phi={json.dumps([serialize.vector_to_json(r) for r in w.phi])},"
             f" psi={json.dumps([serialize.vector_to_json(r) for r in w.psi])}"
         )
-    _emit(payload, args.json, lines)
-    return 0
+    return payload, lines
+
+
+def cmd_solve(args) -> int:
+    return _checked_run(args, solve, _solve_output)
+
+
+def cmd_oracle(args) -> int:
+    return _checked_run(args, oracle_solve, _oracle_output)
 
 
 def cmd_verify(args) -> int:

@@ -1,9 +1,10 @@
 """Exact rational linear algebra: vectors, matrices, canonical subspaces,
 rational eigen-computations, and joint-eigenvector search.
 
-Values are ``fractions.Fraction``; eliminations and spectra run on integer
-rows, and no floating point appears anywhere.  All values are immutable
-after construction and every operation is a pure function of its inputs.
+Values are ``fractions.Fraction``; eliminations, spectra, annihilators and
+weight checks run on integer rows, which only this module and the axiom
+checks' product table (``modules._ProductTable``) build.  No floating point
+appears anywhere.  Values are immutable and operations are pure functions.
 """
 
 from __future__ import annotations
@@ -394,6 +395,20 @@ class Subspace:
             raise DimensionMismatch("ambient dimension mismatch")
         return Subspace(self.ambient, *_reduce(self._rows + other._rows))
 
+    def plus_column_spaces(self, pairs: Iterable[tuple[Matrix, Matrix]]) -> "Subspace":
+        """This space plus the column space of A - B for each (A, B) pair of
+        operators on Q^ambient, in one elimination."""
+        cols = list(self._rows)
+        for a, b in pairs:
+            if not a.nrows == b.nrows == self.ambient or a.ncols != b.ncols:
+                raise DimensionMismatch("operator/subspace ambient mismatch")
+            (da, ra), (db, rb) = a._integer(), b._integer()
+            # the columns of lcm(da, db) (A - B), as integer rows
+            g = gcd(da, db)
+            p, q = db // g, da // g
+            cols += zip(*([p * u - q * v for u, v in zip(x, y)] for x, y in zip(ra, rb)))
+        return Subspace(self.ambient, *_reduce(cols))
+
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the kernel of the stacked coefficient system."""
         if self.ambient != other.ambient:
@@ -602,19 +617,18 @@ def _images(m: Matrix, within: Subspace) -> tuple[int, list[tuple[int, ...]]]:
     return d, [tuple(sum(map(mul, row, r)) for row in dm) for r in within._rows]
 
 
-def _eigen_step(images: tuple, lam: Fraction, within: Subspace) -> Subspace:
-    """{v in within : Mv = lam v} from the images `_images(M, within)`.
-
-    The kernel of the system whose columns are q(DM)r - pDr = qD(M - lam I)r
-    for lam = p/q, combined back into Q^n.  The rows of the whole space are
-    the identity, so there the kernel is the answer.
-    """
+def _eigen_columns(images: tuple, lam: Fraction, within: Subspace) -> list[list[int]]:
+    """The columns q(DM)r - pDr = qD(M - lam I)r for lam = p/q, over the rows
+    r of `within`, from the images `_images(M, within)`."""
     d, ys = images
     q, pd = lam.denominator, lam.numerator * d
-    cols = [
-        [q * y - pd * x for y, x in zip(image, r)] for image, r in zip(ys, within._rows)
-    ]
-    coeffs = _null_space(zip(*cols), within.dim)
+    return [[q * y - pd * x for y, x in zip(image, r)] for image, r in zip(ys, within._rows)]
+
+
+def _eigen_step(images: tuple, lam: Fraction, within: Subspace) -> Subspace:
+    """{v in within : Mv = lam v}: the kernel of the `_eigen_columns` system,
+    combined back into Q^n (the rows of the whole space are the identity)."""
+    coeffs = _null_space(zip(*_eigen_columns(images, lam, within)), within.dim)
     if within.is_full():
         return Subspace(within.ambient, *coeffs)
     return within._combination(coeffs)
@@ -631,6 +645,15 @@ def common_eigenspace(
         if space.dim == 0:
             break
     return space
+
+
+def is_common_eigenvector(pairs: Iterable[tuple[Matrix, Fraction]], v: Vector) -> bool:
+    """True iff v != 0 and op v = lam v for every (op, lam) pair: on the line
+    through v, each pair's eigen-step column is zero."""
+    line = Subspace.span(len(v), [v])
+    if line.dim == 0:
+        return False
+    return not any(any(_eigen_columns(_images(op, line), lam, line)[0]) for op, lam in pairs)
 
 
 def is_invariant(ops: Iterable[Matrix], space: Subspace) -> bool:

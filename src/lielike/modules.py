@@ -10,14 +10,16 @@ algebra argument holds by construction.  The defining axioms are
     f_k(x)f_h(y) = f_h(x)f_k(y),  f_k(x)g_h(y) = f_h(x)g_k(y)
 
 The algebra's own identities are checked here too: check_algebra reads
-them off the product table of the adjoint module.
+them off the product table of the adjoint module.  That table is the one
+place here that holds integer rows; the annihilator only names operator
+pairs for `Subspace.plus_column_spaces`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 from .algebra import AlgebraViolation, LieLikeAlgebra
@@ -29,7 +31,6 @@ from .linalg import (
     _common_denominator,
     _int_combine,
     _int_matmul,
-    _reduce,
     _scaled_ints,
     _sparse,
     combine,
@@ -279,17 +280,10 @@ def adjoint(L: LieLikeAlgebra) -> OrdinaryModule:
     return OrdinaryModule(L, n, tuple(F), tuple(G))
 
 
-def _annihilator_columns(fs: Sequence[Matrix], gs: Sequence[Matrix]):
-    """Integer columns spanning the images of g_h(z) - f_0(z) for every h
-    and of f_k(z) - f_0(z) for k >= 1, from fs = (f_k(z)) and gs = (g_h(z))
-    for one algebra element z."""
-    d0, f0 = fs[0]._integer()
-    for op in (*gs, *fs[1:]):
-        d, rows = op._integer()
-        # the columns of lcm(d, d0) (op - f0), as integer rows
-        a, b = d0 // gcd(d, d0), d // gcd(d, d0)
-        yield from zip(*([a * u - b * v for u, v in zip(r, r0)]
-                         for r, r0 in zip(rows, f0)))
+def _annihilator_pairs(fs: Sequence[Matrix], gs: Sequence[Matrix]) -> list:
+    """(g_h(z), f_0(z)) for every h and (f_k(z), f_0(z)) for k >= 1, from
+    fs = (f_k(z)) and gs = (g_h(z)) for one algebra element z."""
+    return [(op, fs[0]) for op in (*gs, *fs[1:])]
 
 
 def plus_annihilator(M: OrdinaryModule) -> Subspace:
@@ -299,9 +293,9 @@ def plus_annihilator(M: OrdinaryModule) -> Subspace:
     for every h and of f_k - f_0 for k >= 1 span the same space: 2s - 1
     operators per basis index instead of s^2.
     """
-    return Subspace(M.vdim, *_reduce(
-        col for i in range(M.algebra.dim)
-        for col in _annihilator_columns([fk[i] for fk in M.F], [gh[i] for gh in M.G])))
+    return Subspace.zero(M.vdim).plus_column_spaces(
+        pair for i in range(M.algebra.dim)
+        for pair in _annihilator_pairs([fk[i] for fk in M.F], [gh[i] for gh in M.G]))
 
 
 def is_submodule(M: OrdinaryModule, U: Subspace) -> bool:

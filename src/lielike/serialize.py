@@ -59,8 +59,16 @@ def vector_to_json(v: Vector) -> list[str]:
     return [scalar_to_str(x) for x in v]
 
 
+def _array(obj, what: str):
+    """obj, which must be a JSON array: a string or an object is refused
+    rather than read entry by entry."""
+    if not isinstance(obj, (list, tuple)):
+        raise ValueError(f"{what} must be an array, not {type(obj).__name__}")
+    return obj
+
+
 def vector_from_json(obj, length: int, parse) -> Vector:
-    v = vec(parse(x) for x in obj)
+    v = vec(parse(x) for x in _array(obj, "a vector"))
     if len(v) != length:
         raise ValueError(f"expected a vector of length {length}")
     return v
@@ -71,7 +79,8 @@ def matrix_to_json(m: Matrix) -> list[list[str]]:
 
 
 def matrix_from_json(obj, nrows: int, ncols: int, parse) -> Matrix:
-    m = Matrix([parse(x) for x in row] for row in obj)
+    m = Matrix([parse(x) for x in _array(row, "a matrix row")]
+               for row in _array(obj, "a matrix"))
     if (m.nrows, m.ncols) != (nrows, ncols):
         raise ValueError(f"expected a {nrows}x{ncols} matrix")
     return m
@@ -91,7 +100,8 @@ def _size(obj: Mapping, key: str) -> int:
 
 
 def _sparse_entries(node, length: int, where: str) -> list:
-    """The `length` entries of a list or index-keyed dict, None where omitted.
+    """The `length` entries of an array or index-keyed object, None where
+    omitted.
 
     A list longer than `length`, or a key that is not an index below
     `length`, is malformed rather than silently ignored.
@@ -107,6 +117,8 @@ def _sparse_entries(node, length: int, where: str) -> list:
                 raise ValueError(f"{where} has key {key!r}, not an index below {length}")
             out[i] = entry
         return out
+    if not isinstance(node, (list, tuple)):
+        raise ValueError(f"{where} must be an array or an index-keyed object")
     if len(node) > length:
         raise ValueError(f"{where} has {len(node)} entries, expected at most {length}")
     return list(node) + [None] * (length - len(node))

@@ -11,14 +11,14 @@ the old U cut by the eigen-steps of x_{j-1}'s operators; else it is
 computed afresh from all of Q^m.
 The result is a nonzero vector v and functionals phi_k, psi_k with
 f_k(z)v = phi_k(z)v and g_k(z)v = psi_k(z)v, satisfying the dichotomy: all
-psi_k vanish or phi_k = psi_k for every k.
+psi_k vanish or phi_k = psi_k for every k.  The solver works on `Matrix`
+and `Subspace` values only; their integer rows stay inside `linalg`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
 from .algebra import (
@@ -43,12 +43,11 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    _primitive_ints,
-    _reduce,
     commutator,
     common_eigenspace,
     eigenspace,
     inverse,
+    is_common_eigenvector,
     is_invariant,
     is_zero_vec,
     joint_eigenspace,
@@ -63,7 +62,7 @@ from .linalg import (
 from .modules import (
     OrdinaryModule,
     Report,
-    _annihilator_columns,
+    _annihilator_pairs,
     plus_annihilator,
     restrict_module,
 )
@@ -113,20 +112,8 @@ def check_dichotomy(w: Weight) -> str:
 
 
 def verify_weight(M: OrdinaryModule, v: Vector, w: Weight) -> bool:
-    """Exact check of f_k(e_i)v = phi_k(e_i)v and the g analogue, on the
-    operators' integer forms: for y the primitive integer multiple of v,
-    Mv = (a/b)v reads b(DM)y = aDy."""
-    y = _primitive_ints(v)
-    if y is None:
-        return False
-    if len(y) != M.vdim:
-        raise DimensionMismatch("matrix/vector shape mismatch")
-    for op, lam in _weight_pairs(M.F, M.G, w, 0):
-        d, dm = op._integer()
-        b, ad = lam.denominator, lam.numerator * d
-        if any(b * sum(map(mul, row, y)) != ad * x for row, x in zip(dm, y)):
-            return False
-    return True
+    """Exact check that v != 0, f_k(e_i)v = phi_k(e_i)v and the g analogue."""
+    return is_common_eigenvector(_weight_pairs(M.F, M.G, w, 0), v)
 
 
 def weight_space(
@@ -177,10 +164,10 @@ def solve(L: LieLikeAlgebra, M: OrdinaryModule) -> SolveResult:
     F = [[M.f(k, x) for x in xs] for k in range(s)]
     G = [[M.g(k, x) for x in xs] for k in range(s)]
     # the answer over A_0 = 0; over A_j the functionals are held as their
-    # values on x_1..x_j, and ann as its canonical integer rows
+    # values on x_1..x_j, and ann is the plus annihilator of A_j
     v = unit_vec(m, 0)
     phi = psi = tuple(() for _ in range(s))
-    ann_rows: tuple = ()
+    ann = Subspace.zero(m)
     # U is the weight space of the functionals `held`: over A_0, all of Q^m
     U, held = Subspace.full(m), Weight(phi, psi)
     trace: list[str] = []
@@ -191,8 +178,7 @@ def solve(L: LieLikeAlgebra, M: OrdinaryModule) -> SolveResult:
         U, held = _next_weight_space(U, held, FA, GA, w), w
         if U.dim == 0 or not U.contains(v):
             raise TheoremViolation("recursive weight space lost its weight vector")
-        ann_rows, pivots = _reduce([*ann_rows, *_annihilator_columns(Fx, Gx)])
-        ann = Subspace(m, ann_rows, pivots)
+        ann = ann.plus_column_spaces(_annihilator_pairs(Fx, Gx))
 
         meet, tags = U.intersect(ann), []
         w_tilde = None if meet.dim else _case1_witness(U, Fx, Gx)
@@ -384,8 +370,9 @@ def trace_vanishing_check(
     realizes the functionals); a failure is a theorem-violation finding.
     """
     _check_split(L, A, x)
-    MA = restrict_module(M, A, restrict_algebra(L, A))
-    if weight_space(MA.vdim, MA.F, MA.G, w).dim == 0:
+    FA = [[M.f(k, a) for a in A.basis] for k in range(L.s)]
+    GA = [[M.g(k, a) for a in A.basis] for k in range(L.s)]
+    if weight_space(M.vdim, FA, GA, w).dim == 0:
         raise SetupInvalid("no nonzero vector realizes the given functionals")
 
     def psi_at(h: int, z: Vector) -> Fraction:

@@ -516,6 +516,53 @@ class TestOverlongInput:
         assert dense[0] == 0
 
 
+class TestStringsForArrays:
+    """A JSON string where an array is required is malformed at every
+    nesting level, never read character by character."""
+
+    @pytest.mark.parametrize("where", [
+        ("algebra", "c"),
+        ("algebra", "c", 0),
+        ("algebra", "c", 0, 1),
+        ("algebra", "c", 0, 1, 1),
+        ("module", "F"),
+        ("module", "F", 0),
+        ("module", "F", 0, 1),
+        ("module", "F", 0, 1, 0),
+        ("module", "G"),
+        ("module", "G", 0),
+        ("module", "G", 0, 1),
+        ("module", "G", 0, 1, 0),
+    ], ids=lambda w: w[1] + "".join(f"[{x}]" for x in w[2:]))
+    def test_string_node(self, tmp_path, capsys, leib2, where):
+        obj = instance_to_json(leib2, adjoint(leib2))
+        node = obj
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = "10"  # two characters, as long as a vector
+        self.assert_one_line(TestOverlongInput().verify(tmp_path, capsys, obj))
+
+    @pytest.mark.parametrize("where", [
+        ("algebra", "c", 0, 1, 1), ("module", "F", 0, 1), ("module", "G", 0, 1, 0)])
+    def test_object_for_a_vector_or_matrix(self, tmp_path, capsys, leib2, where):
+        obj = instance_to_json(leib2, adjoint(leib2))
+        node = obj
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = {"0": "1", "1": "0"}
+        self.assert_one_line(TestOverlongInput().verify(tmp_path, capsys, obj))
+
+    def test_strings_in_a_one_dimensional_instance(self, tmp_path, capsys):
+        obj = {"algebra": {"dim": 1, "s": 1, "c": "1"},
+               "module": {"vdim": 1, "F": "3", "G": [[["3"]]]}}
+        self.assert_one_line(TestOverlongInput().verify(tmp_path, capsys, obj))
+
+    @staticmethod
+    def assert_one_line(result):
+        TestMalformedScalars().assert_rejected(result)
+        assert "must be an array" in result[2] and "Traceback" not in result[2]
+
+
 class TestParserReuse:
     def test_no_state_leaks_between_calls(self, tmp_path, capsys, leib2):
         path = write_instance(tmp_path, leib2, adjoint(leib2))

@@ -14,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lielike import linalg, modules
-from lielike.errors import NonSplitSpectrum, NotInvariant
+from lielike.errors import DimensionMismatch, NonSplitSpectrum, NotInvariant
 from lielike.linalg import (
     Matrix,
     Subspace,
     eigenspace,
+    is_common_eigenvector,
     joint_eigenspace,
     kernel,
     rational_eigenvalues,
@@ -210,6 +211,73 @@ class TestIntegerForm:
         assert eigenspace(ops[0], 2, within) == Subspace.span(3, [(0, 1, 1)])
 
 
+@st.composite
+def column_space_inputs(draw, n_max=5):
+    """(start, pairs): a nonzero subspace of Q^n and (A, B) pairs of n x n
+    operators, each over its own entry kind of TestRref's (so with mixed
+    denominators), B zero or equal to A (a separate, equal matrix) at times."""
+    n = draw(st.integers(1, n_max))
+
+    def operator():
+        row = st.lists(draw(ENTRY_KINDS), min_size=n, max_size=n)
+        return Matrix(draw(st.lists(row, min_size=n, max_size=n)))
+
+    start = draw(st.lists(st.lists(small_fracs, min_size=n, max_size=n).map(tuple),
+                          min_size=1, max_size=n).filter(lambda vs: any(map(any, vs))))
+    pairs = []
+    for _ in range(draw(st.integers(0, 3))):
+        a = operator()
+        b = draw(st.sampled_from(["drawn", "zero", "equal"]))
+        b = Matrix.zeros(n, n) if b == "zero" else Matrix(a.rows) if b == "equal" else operator()
+        pairs.append((a, b) if draw(st.booleans()) else (b, a))
+    return Subspace.span(n, start), pairs
+
+
+class TestPlusColumnSpaces:
+    @settings(max_examples=150, deadline=None)
+    @given(column_space_inputs())
+    def test_is_the_span_of_the_difference_columns(self, case):
+        start, pairs = case
+        n = start.ambient
+        assert start.dim > 0
+        columns = [(a - b).column(j) for a, b in pairs for j in range(n)]
+        S = start.plus_column_spaces(pairs)
+        assert S == start.add(Subspace.span(n, columns))
+        assert_canonical(S)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            Subspace.zero(2).plus_column_spaces([(Matrix.identity(3), Matrix.zeros(3, 3))])
+        with pytest.raises(DimensionMismatch):
+            Subspace.zero(2).plus_column_spaces([(Matrix.identity(2), Matrix.zeros(2, 3))])
+
+
+class TestCommonEigenvector:
+    T = Matrix([[F(1, 2), 1], [0, F(-3, 5)]])  # eigenvalues 1/2 on e_1, -3/5
+
+    def test_eigenvector_and_its_multiples(self):
+        v = (F(1), F(0))
+        for c in (F(1), F(-2, 7), F(9)):
+            cv = tuple(c * x for x in v)
+            assert is_common_eigenvector([(self.T, F(1, 2)), (Matrix.identity(2), 1)], cv)
+        assert is_common_eigenvector([], v)
+
+    def test_wrong_value_or_vector(self):
+        assert not is_common_eigenvector([(self.T, F(-3, 5))], (F(1), F(0)))
+        assert not is_common_eigenvector([(self.T, F(1, 2))], (F(0), F(1)))
+        # one failing pair fails the whole family
+        assert not is_common_eigenvector(
+            [(self.T, F(1, 2)), (Matrix.zeros(2, 2), 1)], (F(1), F(0)))
+
+    def test_zero_vector(self):
+        assert not is_common_eigenvector([(self.T, F(1, 2))], (F(0), F(0)))
+        assert not is_common_eigenvector([], (F(0), F(0)))
+
+    def test_wrong_length(self):
+        with pytest.raises(DimensionMismatch):
+            is_common_eigenvector([(self.T, F(1, 2))], (F(1), F(0), F(0)))
+
+
 class TestOneElimination:
     """kernel, intersect and each eigen-step run the elimination once."""
 
@@ -223,7 +291,6 @@ class TestOneElimination:
             return original(rows)
 
         monkeypatch.setattr(linalg, "_reduce", counted)
-        monkeypatch.setattr(modules, "_reduce", counted)
         return calls
 
     def test_kernel(self, reductions):

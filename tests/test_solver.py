@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from lielike import (
     NormalizerPreconditionFailed,
     NotSolvable,
     OrdinaryModule,
+    SetupInvalid,
     Subspace,
     TheoremViolation,
     Weight,
@@ -27,6 +29,9 @@ from lielike import (
     is_solvable,
     normalizer_invariance_check,
     oracle_solve,
+    plus_annihilator,
+    restrict_algebra,
+    restrict_module,
     run_verify,
     solve,
     split_codim1,
@@ -358,6 +363,17 @@ class TestTraceVanishing:
             report = trace_vanishing_check(L, setup.A, setup.x, M, setup.weight)
             assert report.ok, report.failures
 
+    def test_no_restricted_copies(self, monkeypatch, aff2):
+        # the weight space comes from M's own f and g on A's basis
+        M = adjoint(aff2)
+        setup = split_setup(aff2, M)
+        monkeypatch.setattr(solver, "restrict_algebra", None)
+        monkeypatch.setattr(solver, "restrict_module", None)
+        assert trace_vanishing_check(aff2, setup.A, setup.x, M, setup.weight).ok
+        wrong = Weight(((F(1),),), setup.weight.psi)
+        with pytest.raises(SetupInvalid, match="no nonzero vector realizes"):
+            trace_vanishing_check(aff2, setup.A, setup.x, M, wrong)
+
 
 class TestKnownProofGap:
     """A valid two-index instance on which the constructive recipe breaks.
@@ -455,6 +471,46 @@ def proof_gap():
     return LieLikeAlgebra.from_constants(
         3, 2, {(0, 0, 1): [1, -1, -1], (0, 1, 0): [-1, 1, 1]}
     )
+
+
+class TestAnnihilatorAlongTheFlag:
+    """At level j, solve holds the plus annihilator of M restricted to
+    A_j = span(x_1..x_j) of its flag."""
+
+    @staticmethod
+    def check(L, M):
+        """The annihilator solve(L, M) holds after each level it runs (every
+        level when it returns a result) is the restricted one."""
+        held, grow = [], Subspace.plus_column_spaces
+
+        def recording(space, pairs):
+            held.append(grow(space, pairs))
+            return held[-1]
+
+        with mock.patch.object(Subspace, "plus_column_spaces", recording):
+            solved = isinstance(outcome(solve, L, M), solver.SolveResult)
+        xs = solver._flag(L)
+        spans = [Subspace.span(L.dim, xs[:j]) for j in range(1, len(xs) + 1)]
+        restricted = [plus_annihilator(restrict_module(M, A, restrict_algebra(L, A)))
+                      for A in spans]
+        assert held == (restricted if solved else restricted[:len(held)])
+        return solved, len(held)
+
+    @pytest.mark.parametrize("name", ["leib2", "nt3", "aff2"])
+    def test_adjoint_fixtures(self, name, request):
+        L = request.getfixturevalue(name)
+        assert self.check(L, adjoint(L)) == (True, L.dim)
+
+    def test_proof_gap(self, proof_gap):
+        # solve stops at level 2, where the weight space loses its vector
+        assert self.check(proof_gap, adjoint(proof_gap)) == (False, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_instances())
+    def test_valid_instances(self, instance):
+        L, M = instance
+        if is_solvable(L)[0]:
+            self.check(L, M)
 
 
 class TestFlagMatchesRecursion:

@@ -4,7 +4,8 @@ Every function, class and method defined in `src/lielike` must be exported
 from `lielike` or referenced by name from `src/lielike` or `benchmarks/`
 (outside its own body): code that only the tests use belongs in the tests.
 Every name a library module binds with `from ... import` must be used in
-that module.
+that module.  Integer rows stay inside `linalg`: outside it, only the axiom
+checks' product table reads an operator's integer form.
 """
 
 import ast
@@ -100,6 +101,52 @@ def test_no_unused_imports_in_library_modules():
     assert found == []
 
 
+# the one place outside linalg that holds integer rows, and the linalg
+# helpers it may use
+TABLE = ("modules.py", "_ProductTable")
+TABLE_HELPERS = {
+    "_common_denominator", "_scaled_ints", "_sparse", "_int_combine", "_int_matmul"}
+
+
+def integer_row_leaks(module, tree):
+    """Where a library module other than linalg handles linalg's integer
+    rows: a private name imported from `.linalg` or read off `linalg`, a
+    `._rows` read, or an `._integer` reference.  Inside TABLE, `._integer`
+    and the TABLE_HELPERS are allowed, and no other private attribute of
+    anything but `self` is; outside it, the helpers are not."""
+    tables = [node for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and (module, node.name) == TABLE]
+    in_table = {id(node) for table in tables for node in ast.walk(table)}
+    helpers = TABLE_HELPERS if tables else set()
+    found = []
+    for node in ast.walk(tree):
+        inside = id(node) in in_table
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "linalg":
+            found += [(node.lineno, f"imports {alias.name}") for alias in node.names
+                      if alias.name.startswith("_") and alias.name not in helpers]
+        elif isinstance(node, ast.Name) and node.id in helpers and not inside:
+            found.append((node.lineno, f"uses {node.id} outside {TABLE[1]}"))
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            if inside:
+                leak = owner != "self" and node.attr != "_integer"
+            else:
+                leak = node.attr in ("_rows", "_integer") or owner == "linalg"
+            if leak:
+                found.append((node.lineno, f"reads .{node.attr}"))
+    return [f"{module}:{line} {leak}" for line, leak in sorted(found)]
+
+
+def test_integer_rows_stay_in_linalg():
+    found = [
+        leak
+        for path in LIBRARY
+        if path.name != "linalg.py"
+        for leak in integer_row_leaks(path.name, parse(path))
+    ]
+    assert found == []
+
+
 # (module, attribute) targets of benchmarks/tracing.py known not to resolve:
 # check_algebra lives in modules, and det left the library.  The change that
 # re-points the benchmark at them empties this set.
@@ -171,3 +218,32 @@ class TestGuardItself:
             "def f() -> a: return c\n"
         )
         assert unused_imports("m.py", tree) == ["m.py:d"]
+
+    def test_flags_integer_rows_outside_linalg(self):
+        tree = ast.parse(
+            "from .linalg import Subspace, _reduce, _sparse\n"
+            "from . import linalg\n"
+            "def f(S, op):\n"
+            "    return S._rows, op._integer(), linalg._reduce, S._basis\n"
+        )
+        assert integer_row_leaks("solver.py", tree) == [
+            "solver.py:1 imports _reduce", "solver.py:1 imports _sparse",
+            "solver.py:4 reads ._integer", "solver.py:4 reads ._reduce",
+            "solver.py:4 reads ._rows"]
+
+    def test_product_table_keeps_to_its_helpers(self):
+        tree = ast.parse(
+            "from .linalg import _sparse, _reduce\n"
+            "class _ProductTable:\n"
+            "    def __init__(self, op, S):\n"
+            "        self._d = op._integer()\n"
+            "        self.rows = _sparse(S._rows), _reduce(()), op._int\n"
+            "def check(op):\n"
+            "    return _sparse(()), op._integer()\n"
+        )
+        assert integer_row_leaks("modules.py", tree) == [
+            "modules.py:1 imports _reduce", "modules.py:5 reads ._int",
+            "modules.py:5 reads ._rows", "modules.py:7 reads ._integer",
+            "modules.py:7 uses _sparse outside _ProductTable"]
+        # the same table in another module is no table
+        assert "algebra.py:4 reads ._integer" in integer_row_leaks("algebra.py", tree)
