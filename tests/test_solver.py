@@ -502,7 +502,7 @@ class TestAnnihilatorAlongTheFlag:
         assert self.check(L, adjoint(L)) == (True, L.dim)
 
     def test_proof_gap(self, proof_gap):
-        # solve stops at level 2, where the weight space loses its vector
+        # solve stops at its third level, where the weight space loses its vector
         assert self.check(proof_gap, adjoint(proof_gap)) == (False, 2)
 
     @settings(max_examples=60, deadline=None)
