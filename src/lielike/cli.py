@@ -4,7 +4,8 @@ Commands operate on JSON files: either a combined instance file
 {"algebra": ..., "module": ...} or, where only the algebra is needed, a
 bare algebra object.  Output is a human-readable table by default and
 canonical JSON with --json.  `verify` exits 0 on success, 1 when a check
-fails, 2 on malformed input or a non-rational spectrum.  `solve` and
+fails, 2 on malformed input or a non-rational spectrum; every command
+reads the exit code of an error from `verify.EXIT_CODES`.  `solve` and
 `oracle` check the algebra and module axioms first; every error they
 report is one line on stderr.
 """
@@ -18,48 +19,37 @@ import sys
 
 from . import serialize
 from .algebra import derived_series
-from .errors import (
-    DimensionMismatch,
-    LieLikeError,
-    NonSplitSpectrum,
-    NotSolvable,
-    TheoremViolation,
-)
+from .errors import DimensionMismatch, LieLikeError
 from .generate import CONSTRUCTIONS, GeneratorSpec, generate
 from .modules import adjoint, check_algebra, check_module, plus_annihilator
 from .solver import oracle_solve, solve
-from .verify import EXIT_INVALID, EXIT_VIOLATION, run_verify
+from .verify import (ALGEBRA_AXIOMS, EXIT_CODES, EXIT_INVALID, EXIT_OK, EXIT_VIOLATION,
+                     MODULE_AXIOMS, run_verify)
 
 
-def _load_json(path: str):
+def _load(path: str, what: str, parse):
+    """parse(the JSON in path), or exit 2 with one stderr line."""
     # ValueError covers bad JSON, bytes that are not UTF-8 and integers too
     # long to convert; RecursionError covers arrays nested too deeply
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+        raise SystemExit(_fail(f"cannot read {path}: {exc}", EXIT_INVALID))
+    try:
+        return parse(obj)
+    except (LieLikeError, KeyError, ValueError, TypeError) as exc:
+        raise SystemExit(_fail(f"malformed {what} in {path}: {exc}", EXIT_INVALID))
 
 
 def _load_algebra(path: str):
-    obj = _load_json(path)
-    try:
-        if isinstance(obj, dict) and "algebra" in obj:
-            return serialize.algebra_from_json(obj["algebra"])
-        return serialize.algebra_from_json(obj)
-    except (LieLikeError, KeyError, ValueError, TypeError) as exc:
-        print(f"error: malformed algebra in {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+    """The algebra of an instance file, or of a bare algebra file."""
+    return _load(path, "algebra", lambda obj: serialize.algebra_from_json(
+        obj["algebra"] if isinstance(obj, dict) and "algebra" in obj else obj))
 
 
 def _load_instance(path: str):
-    obj = _load_json(path)
-    try:
-        return serialize.instance_from_json(obj)
-    except (LieLikeError, KeyError, ValueError, TypeError) as exc:
-        print(f"error: malformed instance in {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+    return _load(path, "instance", serialize.instance_from_json)
 
 
 def _fail(problem, code: int) -> int:
@@ -89,46 +79,26 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
             print(line)
 
 
-def cmd_check_algebra(args) -> int:
-    L = _load_algebra(args.file)
-    violations = check_algebra(L)
-    payload = {
-        "ok": not violations,
-        "violations": [
-            {
-                "identity": v.identity,
-                "witness": list(v.witness),
-                "residual": serialize.vector_to_json(v.residual),
-            }
-            for v in violations
-        ],
-    }
-    lines = [f"algebra axioms: {'ok' if not violations else 'FAILED'}"]
-    lines += [
-        f"  {v.identity} at (i,j,l,k,h)={v.witness}" for v in violations[:20]
-    ]
+def _axiom_report(args, report, violations, residual_to_json) -> int:
+    """Every violation of one axiom check, with its residual; the text
+    lists the first twenty."""
+    payload = {"ok": not violations, "violations": [
+        {**report.violation(v), "residual": residual_to_json(v.residual)} for v in violations]}
+    lines = [f"{report.noun} axioms: {'ok' if not violations else 'FAILED'}"]
+    lines += [f"  {getattr(v, report.field)} at {report.label}={v.witness}"
+              for v in violations[:20]]
     _emit(payload, args.json, lines)
-    return 0 if not violations else EXIT_VIOLATION
+    return EXIT_VIOLATION if violations else EXIT_OK
+
+
+def cmd_check_algebra(args) -> int:
+    violations = check_algebra(_load_algebra(args.file))
+    return _axiom_report(args, ALGEBRA_AXIOMS, violations, serialize.vector_to_json)
 
 
 def cmd_check_module(args) -> int:
-    L, M, _ = _load_instance(args.file)
-    violations = check_module(M)
-    payload = {
-        "ok": not violations,
-        "violations": [
-            {
-                "axiom": v.axiom,
-                "witness": list(v.witness),
-                "residual": serialize.matrix_to_json(v.residual),
-            }
-            for v in violations
-        ],
-    }
-    lines = [f"module axioms: {'ok' if not violations else 'FAILED'}"]
-    lines += [f"  {v.axiom} at (k,h,i,j)={v.witness}" for v in violations[:20]]
-    _emit(payload, args.json, lines)
-    return 0 if not violations else EXIT_VIOLATION
+    _, M, _ = _load_instance(args.file)
+    return _axiom_report(args, MODULE_AXIOMS, check_module(M), serialize.matrix_to_json)
 
 
 def cmd_derived(args) -> int:
@@ -178,19 +148,17 @@ def _checked_run(args, compute, render) -> int:
     emit render(compute(L, M)); the first failing axiom (with its witness)
     or an error of compute is one stderr line and an exit code."""
     L, M, _ = _load_instance(args.file)
-    if violations := check_algebra(L):
-        v = violations[0]
-        return _fail(f"algebra identity {v.identity} fails at (i,j,l,k,h)={v.witness}",
-                     EXIT_VIOLATION)
-    if violations := check_module(M):
-        v = violations[0]
-        return _fail(f"module axiom {v.axiom} fails at (k,h,i,j)={v.witness}", EXIT_VIOLATION)
+    # the module check runs only once the algebra check has passed
+    for report, check, obj in ((ALGEBRA_AXIOMS, check_algebra, L),
+                               (MODULE_AXIOMS, check_module, M)):
+        if violations := check(obj):
+            v = violations[0]
+            return _fail(f"{report.noun} {report.field} {getattr(v, report.field)} fails"
+                         f" at {report.label}={v.witness}", EXIT_VIOLATION)
     try:
         result = compute(L, M)
-    except (NotSolvable, TheoremViolation) as exc:
-        return _fail(exc, EXIT_VIOLATION)
-    except (NonSplitSpectrum, DimensionMismatch) as exc:
-        return _fail(exc, EXIT_INVALID)
+    except tuple(EXIT_CODES) as exc:
+        return _fail(exc, EXIT_CODES[type(exc)])
     payload, lines = render(result)
     _emit(payload, args.json, lines)
     return 0
@@ -219,11 +187,8 @@ def _oracle_output(entries):
         ]
     }
     lines = [f"{len(entries)} maximal joint weight space(s)"]
-    for space, w in entries:
-        lines.append(
-            f"  dim {space.dim}, phi={json.dumps([serialize.vector_to_json(r) for r in w.phi])},"
-            f" psi={json.dumps([serialize.vector_to_json(r) for r in w.psi])}"
-        )
+    lines += [f"  dim {e['dim']}, phi={json.dumps(e['phi'])}, psi={json.dumps(e['psi'])}"
+              for e in payload["entries"]]
     return payload, lines
 
 
@@ -240,7 +205,7 @@ def cmd_verify(args) -> int:
     try:
         report, code = run_verify(L, M)
     except DimensionMismatch as exc:
-        return _fail(exc, EXIT_INVALID)
+        return _fail(exc, EXIT_CODES[DimensionMismatch])
     lines = []
     for name, info in report["checks"].items():
         lines.append(f"{name}: {'ok' if info.get('ok') else 'FAILED'}")

@@ -10,6 +10,7 @@ separators) so equal values produce byte-identical output.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -27,14 +28,39 @@ def scalar_from_str(s) -> Fraction:
     """Parse a JSON scalar: a string "p/q" or an integer.
 
     JSON floats and booleans are refused, so no binary fraction can enter;
-    a zero denominator is a malformed scalar, not an arithmetic error.
+    a zero denominator is a malformed scalar, not an arithmetic error.  A
+    decimal or exponent string whose numerator or denominator would have
+    more digits than Python allows in an integer string
+    (sys.get_int_max_str_digits()) is refused before Fraction builds its
+    power of ten, which for "1e10000000" alone takes seconds.
     """
     if type(s) not in (str, int):
         raise ValueError(f"scalar must be a string or an integer, not {s!r}")
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if type(s) is str and limit and _fraction_digits(s) > limit:
+        raise ValueError(f"scalar numerator or denominator over {limit} digits")
     try:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"scalar {s!r} has a zero denominator") from None
+
+
+def _fraction_digits(s: str) -> int:
+    """Digits of the larger of the numerator and denominator that Fraction
+    builds from the decimal or exponent string s before it reduces them,
+    read off the string; 0 when s has neither a decimal point nor an
+    integer exponent (then Fraction decides alone)."""
+    mantissa, e, exp = s.lower().partition("e")
+    whole, point, frac = mantissa.strip().lstrip("+-").partition(".")
+    if not (e or point):
+        return 0
+    try:
+        shift = int(exp or 0)
+    except ValueError:
+        return 0
+    frac = frac.replace("_", "")
+    digits = len((whole.replace("_", "") + frac).lstrip("0")) or 1
+    return max(digits + max(shift, 0), 1 + len(frac) + max(-shift, 0))
 
 
 def _scalar_parser():

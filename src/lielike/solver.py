@@ -113,6 +113,8 @@ def check_dichotomy(w: Weight) -> str:
 
 def verify_weight(M: OrdinaryModule, v: Vector, w: Weight) -> bool:
     """Exact check that v != 0, f_k(e_i)v = phi_k(e_i)v and the g analogue."""
+    if len(v) != M.vdim:
+        raise DimensionMismatch("v must have the module's dimension")
     return is_common_eigenvector(_weight_pairs(M.F, M.G, w, 0), v)
 
 
@@ -319,12 +321,10 @@ def congruence_check(
     if depth < 1:
         raise SetupInvalid("depth must be at least 1")
     _check_split(L, A, x)
-    for k in range(L.s):
-        for p, a in enumerate(A.basis):
-            if M.f(k, a).apply(u0) != tuple(w.phi[k][p] * t for t in u0):
-                raise SetupInvalid("u0 is not a weight vector for A (f side)")
-            if M.g(k, a).apply(u0) != tuple(w.psi[k][p] * t for t in u0):
-                raise SetupInvalid("u0 is not a weight vector for A (g side)")
+    FA = [[M.f(k, a) for a in A.basis] for k in range(L.s)]
+    GA = [[M.g(k, a) for a in A.basis] for k in range(L.s)]
+    if not is_common_eigenvector(_weight_pairs(FA, GA, w, 0), u0):
+        raise SetupInvalid("u0 is not a weight vector for A")
     ann = plus_annihilator(M)
     gh = M.g(h, x)
     iterates = [u0]
@@ -336,15 +336,11 @@ def congruence_check(
         mod_prev = ann.add(Subspace.span(M.vdim, iterates[:m]))
         mod_cur = ann.add(Subspace.span(M.vdim, iterates[: m + 1]))
         for k in range(L.s):
-            for p, a in enumerate(A.basis):
-                rf = vec(
-                    t - w.phi[k][p] * u for t, u in zip(M.f(k, a).apply(um), um)
-                )
+            for p in range(A.dim):
+                rf = vec(t - w.phi[k][p] * u for t, u in zip(FA[k][p].apply(um), um))
                 if not mod_prev.contains(rf):
                     failures.append(f"f-congruence fails at (m={m}, k={k}, a={p})")
-                rg = vec(
-                    t - w.psi[k][p] * u for t, u in zip(M.g(k, a).apply(um), um)
-                )
+                rg = vec(t - w.psi[k][p] * u for t, u in zip(GA[k][p].apply(um), um))
                 if not mod_prev.contains(rg):
                     failures.append(f"g-congruence fails at (m={m}, k={k}, a={p})")
             rx = vec(
@@ -454,12 +450,7 @@ def oracle_solve(
         raise TheoremViolation("no joint weight space found on a valid instance")
     results = []
     for space, assignment in fronts:
-        phi = tuple(
-            tuple(assignment[k * n + i] for i in range(n)) for k in range(s)
-        )
-        psi = tuple(
-            tuple(assignment[s * n + k * n + i] for i in range(n))
-            for k in range(s)
-        )
-        results.append((space, Weight(phi, psi)))
+        # the values by operator: s rows of n for the f's, then for the g's
+        rows = tuple(assignment[r * n:(r + 1) * n] for r in range(2 * s))
+        results.append((space, Weight(rows[:s], rows[s:])))
     return results

@@ -2,13 +2,17 @@
 
 The report is a plain dict so the CLI can print it as JSON or as text.
 Exit code semantics: 0 all checks pass, 1 a violation was found, 2 the
-input was malformed or an eigen-step left the rationals.
+input was malformed or an eigen-step left the rationals.  EXIT_CODES maps
+each error a command reports to its exit code, and AxiomReport says how
+each axiom check's violations are reported.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .algebra import LieLikeAlgebra, is_solvable
-from .errors import NonSplitSpectrum, TheoremViolation
+from .errors import DimensionMismatch, NonSplitSpectrum, NotSolvable, TheoremViolation
 from .modules import (
     OrdinaryModule,
     check_algebra,
@@ -24,6 +28,31 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INVALID = 2
 
+EXIT_CODES = {DimensionMismatch: EXIT_INVALID, NonSplitSpectrum: EXIT_INVALID,
+              NotSolvable: EXIT_VIOLATION, TheoremViolation: EXIT_VIOLATION}
+
+
+@dataclass(frozen=True)
+class AxiomReport:
+    """How one axiom check's violations are reported: what is checked (the
+    text header), the violation field that names the failing axiom, and
+    the names of the witness's indices."""
+
+    noun: str
+    field: str
+    label: str
+
+    def violation(self, v) -> dict:
+        return {self.field: getattr(v, self.field), "witness": list(v.witness)}
+
+    def entry(self, violations) -> dict:
+        """A verify report's entry for the check: its first ten witnesses."""
+        return {"ok": not violations, "violations": [self.violation(v) for v in violations[:10]]}
+
+
+ALGEBRA_AXIOMS = AxiomReport("algebra", "identity", "(i,j,l,k,h)")
+MODULE_AXIOMS = AxiomReport("module", "axiom", "(k,h,i,j)")
+
 
 def run_verify(L: LieLikeAlgebra, M: OrdinaryModule) -> tuple[dict, int]:
     """Run the full check pipeline; returns (report, exit_code)."""
@@ -31,13 +60,7 @@ def run_verify(L: LieLikeAlgebra, M: OrdinaryModule) -> tuple[dict, int]:
     checks = report["checks"]
 
     violations = check_algebra(L)
-    checks["algebra-axioms"] = {
-        "ok": not violations,
-        "violations": [
-            {"identity": v.identity, "witness": list(v.witness)}
-            for v in violations[:10]
-        ],
-    }
+    checks["algebra-axioms"] = ALGEBRA_AXIOMS.entry(violations)
     if violations:
         return report, EXIT_VIOLATION
 
@@ -46,15 +69,9 @@ def run_verify(L: LieLikeAlgebra, M: OrdinaryModule) -> tuple[dict, int]:
     if not solvable:
         return report, EXIT_VIOLATION
 
-    mod_violations = check_module(M)
-    checks["module-axioms"] = {
-        "ok": not mod_violations,
-        "violations": [
-            {"axiom": v.axiom, "witness": list(v.witness)}
-            for v in mod_violations[:10]
-        ],
-    }
-    if mod_violations:
+    violations = check_module(M)
+    checks["module-axioms"] = MODULE_AXIOMS.entry(violations)
+    if violations:
         return report, EXIT_VIOLATION
 
     derived = check_derived_identities(M)
@@ -73,12 +90,9 @@ def run_verify(L: LieLikeAlgebra, M: OrdinaryModule) -> tuple[dict, int]:
 
     try:
         result = solve(L, M)
-    except NonSplitSpectrum as exc:
+    except (NonSplitSpectrum, TheoremViolation) as exc:
         checks["solve"] = {"ok": False, "error": str(exc)}
-        return report, EXIT_INVALID
-    except TheoremViolation as exc:
-        checks["solve"] = {"ok": False, "error": str(exc)}
-        return report, EXIT_VIOLATION
+        return report, EXIT_CODES[type(exc)]
     # solve raises rather than return a vector that fails verify_weight
     dichotomy_ok = result.dichotomy != DICHOTOMY_VIOLATION
     checks["solve"] = {
@@ -93,19 +107,13 @@ def run_verify(L: LieLikeAlgebra, M: OrdinaryModule) -> tuple[dict, int]:
         entries = oracle_solve(L, M)
     except NonSplitSpectrum as exc:
         checks["oracle"] = {"ok": False, "error": str(exc)}
-        return report, EXIT_INVALID
-    match = next(
-        (
-            (space, w)
-            for space, w in entries
-            if space.contains(result.v) and w == result.weight
-        ),
-        None,
-    )
+        return report, EXIT_CODES[type(exc)]
+    match = next((space for space, w in entries
+                  if space.contains(result.v) and w == result.weight), None)
     checks["oracle"] = {
         "ok": match is not None,
         "entries": len(entries),
-        "matched_dim": match[0].dim if match else None,
+        "matched_dim": match.dim if match else None,
         "v": vector_to_json(result.v),
     }
     if match is None:

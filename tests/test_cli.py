@@ -1,9 +1,10 @@
 import gc
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lielike import algebra as algebra_module
@@ -12,6 +13,7 @@ from lielike.cli import main
 from lielike.serialize import MAX_SIZE, algebra_to_json, dumps, instance_to_json
 from lielike import LieLikeAlgebra, OrdinaryModule, adjoint
 from lielike.linalg import Matrix
+from strategies import valid_instances
 
 
 def run_captured(capsys, *argv):
@@ -429,6 +431,55 @@ class TestScalarMemo:
         assert M1.F[0][1].rows[0][0] is not M2.F[0][1].rows[0][0]
 
 
+class TestExponentScalars:
+    """A scalar whose numerator or denominator would pass Python's limit on
+    integer strings is refused before its power of ten is built."""
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("entry", [
+        "1e5000", "-1e-5000", "0e5000", "0.0e-5000", "1E5000", "1e4300", "1e10000000",
+        "-1e-10000000", "0." + "1" * 4300, ".5e-4299",
+    ], ids=lambda e: e if len(e) < 20 else f"{e[:6]}...{len(e)}-chars")
+    def test_refused(self, entry):
+        with pytest.raises(ValueError, match="over 4300 digits"):
+            serialize.scalar_from_str(entry)
+
+    @pytest.mark.parametrize("entry", ["1e5000", "-1e-5000"])
+    def test_refused_in_one_line(self, tmp_path, capsys, leib2, entry):
+        obj = instance_to_json(leib2, adjoint(leib2))
+        obj["module"]["F"][0][1][0][0] = entry
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_captured(capsys, "check-module", str(path), "--json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed instance") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("entry, value", [
+        ("1e2", F(100)), ("1.5", F(3, 2)), ("-25e-2", F(-1, 4)), ("1_0e1_0", F(10**11)),
+        ("1e4299", F(10**4299)), ("1e-4299", F(1, 10**4299)),
+        ("0." + "1" * 4299, F(int("1" * 4299), 10**4299)),
+    ], ids=lambda e: e if isinstance(e, F) or len(e) < 20 else f"{e[:6]}...{len(e)}-chars")
+    def test_accepted_up_to_the_limit(self, entry, value):
+        assert serialize.scalar_from_str(entry) == value
+
+    def test_reads_the_limit_when_parsing(self):
+        sys.set_int_max_str_digits(640)
+        assert serialize.scalar_from_str("1e639") == 10**639
+        with pytest.raises(ValueError, match="over 640 digits"):
+            serialize.scalar_from_str("1e640")
+
+    @pytest.mark.parametrize("entry", ["1eabc", "1e", "e5", "1.2.3e1", "1/2e3"])
+    def test_other_malformed_strings_keep_their_message(self, entry):
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            serialize.scalar_from_str(entry)
+
+
 class TestMalformedSizes:
     """dim, s and vdim must be non-negative JSON integers."""
 
@@ -561,6 +612,82 @@ class TestStringsForArrays:
     def assert_one_line(result):
         TestMalformedScalars().assert_rejected(result)
         assert "must be an array" in result[2] and "Traceback" not in result[2]
+
+
+def _paths(node, path=()):
+    """The path of every node of a JSON value, the root first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+# what a mutation writes: strings, objects, numbers, booleans and null where
+# arrays belong, exponent scalars.  The integers stay at most 3 or past
+# MAX_SIZE, since an all-zero instance takes seconds to verify at dim = s =
+# vdim = 12 and minutes at 32; small entries keep every spectrum quick.
+junk = st.one_of(
+    st.sampled_from(["", "x", "10", "1/0", "1e5000", "-1e-5000", "0e99999", "1e2",
+                     "5e-1", "1.5", "-2"]),
+    st.sampled_from([-1, 0, 1, 2, 3, MAX_SIZE + 1]),
+    st.floats(), st.booleans(), st.none(),
+    st.dictionaries(st.sampled_from(["0", "1", "5", "-1", "01", "x"]),
+                    st.sampled_from(["0", "1", []]), max_size=2),
+    st.lists(st.sampled_from(["0", "1", "1e2"]), max_size=4),
+)
+
+
+@st.composite
+def mutated_instance_files(draw):
+    """The text of a valid instance file (dim, s and vdim at most 3) with
+    one to three nodes replaced by junk, lists made overlong or objects
+    given keys that are not indices."""
+    L, M = draw(valid_instances().filter(lambda inst: inst[1].vdim <= 3))
+    obj = json.loads(dumps(instance_to_json(L, M)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(obj))))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]] if path else obj
+        kind = draw(st.sampled_from(["replace", "overlong", "bad-key"]))
+        if kind == "overlong" and isinstance(node, list):
+            node.extend((node[:1] or ["0"]) * draw(st.integers(1, 3)))
+        elif kind == "bad-key" and isinstance(node, dict):
+            node[draw(st.sampled_from(["x", "5", "-1", "01", "metadata"]))] = draw(junk)
+        elif path:
+            parent[path[-1]] = draw(junk)
+        else:
+            obj = draw(junk)
+    return json.dumps(obj)
+
+
+class TestFuzzedFiles:
+    """Every command on a mutated instance file exits 0, 1 or 2, never with
+    a traceback; exit 2 is one stderr line, except where `verify` reports a
+    spectrum that leaves the rationals as its failing solve or oracle check."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated_instance_files(), st.booleans())
+    def test_exit_codes_and_one_line_errors(self, tmp_path, capsys, text, as_json):
+        path = tmp_path / "fuzzed.json"
+        path.write_text(text, encoding="utf-8")
+        for command in ("check-algebra", "check-module", "derived", "annihilator",
+                        "adjoint", "solve", "oracle", "verify"):
+            flag = ["--json"] if as_json and command != "adjoint" else []
+            code, out, err = run_captured(capsys, command, str(path), *flag)
+            assert code in (0, 1, 2), command
+            if err:
+                assert (out, err.count("\n")) == ("", 1) and err.startswith("error: ")
+            elif code == 2:
+                failing = ([name for name, info in json.loads(out)["checks"].items()
+                            if "error" in info] if as_json else
+                           [line for line in out.splitlines() if line.endswith("FAILED")])
+                assert command == "verify" and failing in (
+                    ["solve"], ["oracle"], ["solve: FAILED", "verdict: FAILED"],
+                    ["oracle: FAILED", "verdict: FAILED"]), (command, out)
 
 
 class TestParserReuse:

@@ -178,6 +178,18 @@ class TestVerifyWeight:
     def test_zero_vector_rejected(self, leib2):
         assert not verify_weight(adjoint(leib2), fvec([0, 0]), zero_weight(1, 2))
 
+    @pytest.mark.parametrize("dim", [0, 2])
+    def test_wrong_length_raises(self, leib2, dim):
+        # a dimension-0 algebra has no operator pairs to compare v with
+        L = leib2 if dim else LieLikeAlgebra.from_constants(0, 1, {})
+        M = adjoint(leib2) if dim else OrdinaryModule(L, 2, ((),), ((),))
+        w = zero_weight(1, dim)
+        assert verify_weight(M, fvec([1, 0]), w)
+        assert not verify_weight(M, fvec([0, 0]), w)
+        for v in (fvec([1]), fvec([1, 0, 0])):
+            with pytest.raises(DimensionMismatch):
+                verify_weight(M, v, w)
+
     @pytest.mark.parametrize("t", [F(1), F(3, 5), F(-1, 7)])
     def test_nonzero_weight(self, t):
         # adjoint(t aff(1)): phi = psi = (0, t) on the vector solve finds
@@ -327,6 +339,18 @@ class TestCongruence:
                 nt3, A, fvec([0, 0, 1]), M, fvec([1, 0, 0]), w, h, 3
             )
             assert report.ok, report.failures
+
+    @pytest.mark.parametrize("u0, phi, psi", [
+        ([0, 0], 5, -3),  # the zero vector has every weight but is none
+        ([0, 0], 0, 0),
+        ([1, 0], 5, -3),
+        ([1, 0], 0, 1),
+    ])
+    def test_u0_must_be_a_weight_vector_for_A(self, leib2, u0, phi, psi):
+        w = Weight((fvec([phi]),), (fvec([psi]),))
+        with pytest.raises(SetupInvalid, match="u0 is not a weight vector for A"):
+            congruence_check(leib2, span(2, [[1, 0]]), fvec([0, 1]), adjoint(leib2),
+                             fvec(u0), w, 0, 1)
 
     def test_solver_extracted_setup(self, aff2):
         setup = split_setup(aff2, adjoint(aff2))

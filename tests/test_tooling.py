@@ -5,7 +5,8 @@ from `lielike` or referenced by name from `src/lielike` or `benchmarks/`
 (outside its own body): code that only the tests use belongs in the tests.
 Every name a library module binds with `from ... import` must be used in
 that module.  Integer rows stay inside `linalg`: outside it, only the axiom
-checks' product table reads an operator's integer form.
+checks' product table reads an operator's integer form.  The command layer
+reads every nonzero exit code from `verify`'s names and its EXIT_CODES table.
 """
 
 import ast
@@ -147,6 +148,48 @@ def test_integer_rows_stay_in_linalg():
     assert found == []
 
 
+SOLVER_ERRORS = {"NonSplitSpectrum", "NotSolvable", "TheoremViolation"}
+
+
+def literal_exit_codes(module, tree):
+    """Nonzero integer literals that a function returns, or that it passes
+    to SystemExit or as _fail's exit code; in cli.py, imports of the solver
+    errors, whose codes EXIT_CODES holds."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Return) and node.value is not None:
+            codes = [node.value]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                "SystemExit", "_fail"):
+            codes = node.args[-1:]
+        else:
+            if module == "cli.py" and isinstance(node, ast.ImportFrom):
+                found += [f"{module}:{node.lineno} imports {alias.name}"
+                          for alias in node.names if alias.name in SOLVER_ERRORS]
+            continue
+        found += [f"{module}:{c.lineno} exits with {c.value}"
+                  for code in codes for c in exit_values(code)
+                  if isinstance(c, ast.Constant) and type(c.value) is int and c.value]
+    return sorted(found)
+
+
+def exit_values(expr):
+    """The expressions that may be the exit code of `return expr`: a tuple's
+    last element (run_verify returns (report, code)), either branch of a
+    conditional."""
+    if isinstance(expr, ast.Tuple) and expr.elts:
+        return exit_values(expr.elts[-1])
+    if isinstance(expr, ast.IfExp):
+        return exit_values(expr.body) + exit_values(expr.orelse)
+    return [expr]
+
+
+def test_exit_codes_come_from_one_table():
+    found = [code for name in ("cli.py", "verify.py")
+             for code in literal_exit_codes(name, parse(ROOT / "src" / "lielike" / name))]
+    assert found == []
+
+
 # (module, attribute) targets of benchmarks/tracing.py known not to resolve:
 # check_algebra lives in modules, and det left the library.  The change that
 # re-points the benchmark at them empties this set.
@@ -247,3 +290,17 @@ class TestGuardItself:
             "modules.py:7 uses _sparse outside _ProductTable"]
         # the same table in another module is no table
         assert "algebra.py:4 reads ._integer" in integer_row_leaks("algebra.py", tree)
+
+    def test_flags_literal_exit_codes(self):
+        tree = ast.parse(
+            "from .errors import DimensionMismatch, NotSolvable\n"
+            "def f(ok):\n"
+            "    if ok:\n"
+            "        return report, 0\n"
+            "    raise SystemExit(_fail('no', 2))\n"
+            "def g(ok):\n"
+            "    return 0 if ok else 1\n"
+        )
+        assert literal_exit_codes("cli.py", tree) == [
+            "cli.py:1 imports NotSolvable", "cli.py:5 exits with 2",
+            "cli.py:7 exits with 1"]
