@@ -98,9 +98,9 @@ def _sparse(values: Iterable[int]) -> tuple[tuple[int, int], ...]:
     return tuple((j, x) for j, x in enumerate(values) if x)
 
 
-# Dense integer results are lists, not tuples: the checks build many of a
-# few lengths, and CPython keeps up to 2000 freed tuples of each small
-# length alive for reuse, which would hold on to that memory.
+# Dense integer results are lists, not tuples: CPython keeps up to 2000
+# freed tuples of each small length alive for reuse, which would hold on to
+# that memory.
 
 def _int_combine(terms: Iterable[tuple], n: int) -> list[int]:
     """Sum of c*v over (c, v) pairs, v a sparse integer vector of length n."""
@@ -110,15 +110,6 @@ def _int_combine(terms: Iterable[tuple], n: int) -> list[int]:
             for j, x in v:
                 acc[j] += c * x
     return acc
-
-
-def _int_matmul(a: Sequence, b: Sequence, n: int) -> list[int]:
-    """Row-major entries of AB for integer matrices given as sparse rows,
-    B with n columns."""
-    out: list[int] = []
-    for row in a:
-        out.extend(_int_combine(((x, b[l]) for l, x in row), n))
-    return out
 
 
 # ---------------------------------------------------------------------------

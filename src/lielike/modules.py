@@ -10,15 +10,19 @@ algebra argument holds by construction.  The defining axioms are
     f_k(x)f_h(y) = f_h(x)f_k(y),  f_k(x)g_h(y) = f_h(x)g_k(y)
 
 The algebra's own identities are checked here too: check_algebra reads
-them off the product table of the adjoint module.  That table is the one
-place here that holds integer rows; the annihilator only names operator
-pairs for `Subspace.plus_column_spaces`.
+them off the product table that L's structure constants give for the
+adjoint module, without building that module.  The table holds each
+integer matrix of the checks packed into one int, so that every
+comparison is one int equality; it is the one place here that holds
+integer rows, and the annihilator only names operator pairs for
+`Subspace.plus_column_spaces`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Sequence
 
@@ -29,8 +33,6 @@ from .linalg import (
     Subspace,
     Vector,
     _common_denominator,
-    _int_combine,
-    _int_matmul,
     _scaled_ints,
     _sparse,
     combine,
@@ -67,6 +69,12 @@ class OrdinaryModule:
     def g(self, k: int, z: Vector) -> Matrix:
         return _linear_combination(self.G[k], z, self.vdim)
 
+    @cached_property
+    def _product_table(self) -> "_ProductTable":
+        """The one table that check_module and check_derived_identities
+        read; the operators never change, so it is built once."""
+        return _ProductTable(self.algebra, self)
+
 
 def _linear_combination(ops: Sequence[Matrix], z: Vector, m: int) -> Matrix:
     terms = [(zi, op.rows) for zi, op in zip(z, ops, strict=True) if zi]
@@ -92,38 +100,36 @@ class Report:
 
 
 class _ProductTable:
-    """Integer images of one module's operators, for the life of one check.
+    """Packed integer images of one module's operators, for the axiom checks.
 
     Every operator X is held as X' = D*X, D the lcm of all operator
-    denominators, read off its own integer form d*X as (D/d)(d*X); every
-    structure constant w is held as E*w, E the lcm of theirs.  Equal
-    operators and equal constants share one index.  Products X'Y' (D^2 XY)
-    and combinations D * sum_l (E w_l) X'_l (D^2 E sum_l w_l X_l) are
-    computed on first use and kept.
+    denominators, and every structure constant w as E*w, E the lcm of
+    theirs.  Each integer matrix of the checks is one int (Kronecker
+    substitution): its entries, row-major, are the balanced base-2^width
+    digits, entry (r, c) at digit r*m + c.  The table forms
+
+        products      X'Y' = sum_l (column l of X') * (row l of Y'),
+                      entries at most m*a^2,
+        differences   E*(X'Y' - Z'U'), entries at most 2*E*m*a^2,
+        combinations  D * sum_l (E w_l) X'_l, entries at most D*n*b*a,
+
+    with a the largest |X'| entry, b the largest |E*w| entry, m = vdim and
+    n = dim.  Every entry is at most B = max(2*E*m*a^2, D*n*b*a), so the
+    difference of two values has entries at most 2B < 2^(width-1) for
+    width = bitlength(2B) + 1.  Digits below 2^(width-1) in absolute value
+    pack into one int in one way only: two values are equal exactly when
+    their matrices are, each axiom is one int comparison, and the
+    difference of two values decodes to its exact entries, which are read
+    only for a failing tuple's residual.
+
+    The table is built from a module M over L or, with M None, straight
+    from L's constants as the table of the adjoint module (L, -r_k, l_k):
+    G_k(e_i)[l][j] = E*c[k][i][j][l] and F_k(e_i)[l][j] = -E*c[k][j][i][l],
+    so D = E.  Equal operators and equal constants share one index.
     """
 
-    def __init__(self, M: OrdinaryModule):
-        fams = (M.F, M.G)
-        self.d = d = lcm(*(op._integer()[0] for fam in fams for fk in fam for op in fk))
-        self.rows: list[tuple] = []  # sparse rows of each distinct X'
-        self.flat: list[tuple] = []  # sparse row-major entries of each X'
-        op_ids: dict[tuple, int] = {}
-
-        def op_index(op: Matrix) -> int:
-            dx, key = op._integer()
-            if dx != d:
-                f = d // dx
-                key = tuple(tuple(f * x for x in r) for r in key)
-            if key not in op_ids:
-                op_ids[key] = len(self.rows)
-                self.rows.append(tuple(_sparse(r) for r in key))
-                self.flat.append(_sparse(x for r in key for x in r))
-            return op_ids[key]
-
-        # ops[0][k][i] indexes F[k][i], ops[1][k][i] indexes G[k][i]
-        self.ops = tuple(
-            tuple(tuple(op_index(op) for op in fk) for fk in fam) for fam in fams)
-        L = M.algebra
+    def __init__(self, L: LieLikeAlgebra, M: OrdinaryModule | None = None):
+        n, s = L.dim, L.s
         self.e = e = _common_denominator(
             x for tk in L.c for ti in tk for w in ti for x in w)
         w_ids: dict[tuple, int] = {}
@@ -132,69 +138,116 @@ class _ProductTable:
                   for ti in tk)
             for tk in L.c)
         self.w = list(w_ids)  # each distinct E*w, by index
-        self.m = M.vdim
-        self._products: dict[tuple[int, int], list[int]] = {}
-        self._combos: dict[tuple[int, int, int], list[int]] = {}
+        if M is None:
+            self.d, self.m = e, n
+            cw = [[[self.w[x] for x in ti] for ti in tk] for tk in self.c]  # E*c
+            fams = (  # integer rows of F'_k(e_i) and G'_k(e_i), by [k][i]
+                [[tuple(zip(*([-x for x in cw[k][j][i]] for j in range(n))))
+                  for i in range(n)] for k in range(s)],
+                [[tuple(zip(*cw[k][i])) for i in range(n)] for k in range(s)])
+        else:
+            ops = [op for fam in (M.F, M.G) for fk in fam for op in fk]
+            self.d = d = lcm(*(op._integer()[0] for op in ops))
+            self.m = M.vdim
+            fams = tuple(
+                [[rows if dx == d else tuple(tuple(d // dx * x for x in r) for r in rows)
+                  for dx, rows in (op._integer() for op in fk)] for fk in fam]
+                for fam in (M.F, M.G))
+        op_ids: dict[tuple, int] = {}
+        # ops[0][k][i] indexes F'[k][i], ops[1][k][i] indexes G'[k][i]
+        self.ops = tuple(
+            tuple(tuple(op_ids.setdefault(x, len(op_ids)) for x in fk) for fk in fam)
+            for fam in fams)
+        m = self.m
+        a = max((abs(x) for key in op_ids for r in key for x in r), default=0)
+        b = max((abs(x) for w in self.w for x in w), default=0)
+        bound = max(2 * e * m * a * a, self.d * n * b * a)
+        self.width = width = (2 * bound).bit_length() + 1
+        # per distinct X': its packed rows, its nonzero packed columns (row
+        # r at digit r*m), and the whole matrix
+        self.rows = [[self._pack(r, width) for r in key] for key in op_ids]
+        self.cols = [_sparse(self._pack(c, width * m) for c in zip(*key))
+                     for key in op_ids]
+        self.packed = [self._pack(rows, width * m) for rows in self.rows]
+        self._combos: dict[int, list] = {}
 
-    def product(self, x: int, y: int) -> list[int]:
-        """X'Y', row-major."""
-        key = (x, y)
-        if key not in self._products:
-            self._products[key] = _int_matmul(self.rows[x], self.rows[y], self.m)
-        return self._products[key]
+    @staticmethod
+    def _pack(digits, width: int) -> int:
+        """sum_i digits[i] << (width*i)."""
+        out = 0
+        for x in reversed(digits):
+            out = (out << width) + x
+        return out
 
-    def difference(self, x: int, y: int, z: int, u: int) -> list[int]:
-        """E * (X'Y' - Z'U'), on the scale of `combo`."""
-        e = self.e
-        return [e * (a - b) for a, b in zip(self.product(x, y), self.product(z, u))]
+    def grid(self, a: int, b: int) -> list[list[int]]:
+        """X'_p Y'_q at [p][q], over families X = a and Y = b (0 for F, 1 for
+        G) and the flattened index p = k*dim + i of X_k(e_i); each product is
+        sum_l (column l of X') * (row l of Y'), one int per term."""
+        xs = [x for fk in self.ops[a] for x in fk]
+        ys = [y for fk in self.ops[b] for y in fk]
+        rows, distinct_ys, by_x = self.rows, set(ys), {}
+        for x in set(xs):
+            cols = self.cols[x]
+            prods = {y: sum(col * rows[y][l] for l, col in cols) for y in distinct_ys}
+            by_x[x] = [prods[y] for y in ys]
+        return [by_x[x] for x in xs]
 
-    def combo(self, fam: int, h: int, w: int) -> list[int]:
-        """D * sum_l (E w_l) X'_l over X'_l = ops[fam][h][l], row-major."""
-        key = (fam, h, w)
-        if key not in self._combos:
-            d, flat = self.d, self.flat
-            terms = ((d * wl, flat[x]) for wl, x in zip(self.w[w], self.ops[fam][h]))
-            self._combos[key] = _int_combine(terms, self.m * self.m)
-        return self._combos[key]
+    def combos(self, fam: int) -> list[list[int]]:
+        """D * sum_l (E w_l) X'_l over X'_l = ops[fam][h][l], at [h][w]."""
+        if fam not in self._combos:
+            d, packed = self.d, self.packed
+            self._combos[fam] = [
+                [sum(d * wl * packed[x] for wl, x in zip(w, fh) if wl) for w in self.w]
+                for fh in self.ops[fam]]
+        return self._combos[fam]
 
-    def residual(self, a: Sequence[int], b: Sequence[int], e: int) -> Vector:
-        """(A - B) / (D^2 e) entrywise: the exact difference of two rows that
-        carry the scale D^2 e (e = E for a combination, 1 for a product)."""
-        scale = self.d * self.d * e
-        return tuple(Fraction(x - y, scale) for x, y in zip(a, b))
+    def residual(self, diff: int, e: int) -> Vector:
+        """The m*m entries of a packed difference of two values that carry
+        the scale D^2 e (e = E for a combination or a difference, 1 for a
+        product), row-major and divided by that scale: the exact residual."""
+        width, scale = self.width, self.d * self.d * e
+        mask, half = (1 << width) - 1, 1 << (width - 1)
+        out = []
+        for _ in range(self.m * self.m):
+            x = ((diff + half) & mask) - half  # the balanced digit
+            out.append(Fraction(x, scale))
+            diff = (diff - x) >> width
+        return tuple(out)
 
 
 def check_module(M: OrdinaryModule) -> list[ModuleViolation]:
     """All axiom violations on basis pairs; empty iff M is a module.
 
-    Both sides of each axiom are rows of int over one _ProductTable, and
-    a failing axiom's exact residual is read off the same two rows.
+    Both sides of each axiom are packed ints of the module's _ProductTable,
+    read from its four product grids and its combinations by list index,
+    and a failing axiom's exact residual is decoded from their difference.
     """
     L = M.algebra
-    m = M.vdim
-    t = _ProductTable(M)
-    (F, G), c, P, e = t.ops, t.c, t.product, t.e
+    n, m = L.dim, M.vdim
+    t = M._product_table
+    FF, GF, FG, GG = (t.grid(a, b) for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    CF, CG = t.combos(0), t.combos(1)
+    c, e = t.c, t.e
     out = []
     for k in range(L.s):
         for h in range(L.s):
-            for i in range(L.dim):
-                for j in range(L.dim):
+            for i in range(n):
+                hi, ki = h * n + i, k * n + i
+                for j, w in enumerate(c[k][i]):
+                    kj, hj = k * n + j, h * n + j
                     # each shared by two axioms
-                    fhi_fkj = P(F[h][i], F[k][j])
-                    ghi_fkj = P(G[h][i], F[k][j])
+                    fhi_fkj, ghi_fkj = FF[hi][kj], GF[hi][kj]
                     sides = (
-                        ("eq-1.3", t.combo(0, h, c[k][i][j]),
-                         t.difference(F[h][i], F[k][j], F[k][j], F[h][i]), e),
-                        ("eq-1.4", t.combo(1, h, c[k][i][j]),
-                         t.difference(G[h][i], F[k][j], F[k][j], G[h][i]), e),
-                        ("eq-1.5", P(G[k][i], G[h][j]), ghi_fkj, 1),
-                        ("eq-1.5", ghi_fkj, P(G[k][i], F[h][j]), 1),
-                        ("eq-1.6a", P(F[k][i], F[h][j]), fhi_fkj, 1),
-                        ("eq-1.6b", P(F[k][i], G[h][j]), P(F[h][i], G[k][j]), 1),
+                        ("eq-1.3", CF[h][w], e * (fhi_fkj - FF[kj][hi]), e),
+                        ("eq-1.4", CG[h][w], e * (ghi_fkj - FG[kj][hi]), e),
+                        ("eq-1.5", GG[ki][hj], ghi_fkj, 1),
+                        ("eq-1.5", ghi_fkj, GF[ki][hj], 1),
+                        ("eq-1.6a", FF[ki][hj], fhi_fkj, 1),
+                        ("eq-1.6b", FG[ki][hj], FG[hi][kj], 1),
                     )
                     for axiom, a, b, scale in sides:
                         if a != b:
-                            r = t.residual(a, b, scale)
+                            r = t.residual(a - b, scale)
                             out.append(ModuleViolation(axiom, (k, h, i, j), Matrix(
                                 r[p:p + m] for p in range(0, m * m, m))))
     return out
@@ -204,8 +257,9 @@ def check_algebra(L: LieLikeAlgebra) -> list[AlgebraViolation]:
     """All violations of the defining identities on basis triples.
 
     By multilinearity an empty result implies the identities for all
-    x, y, z.  Both identities are read off the _ProductTable of the adjoint
-    module, where G_k(x) = <x,.>_k and F_k(y) = -<.,y>_k: column l of
+    x, y, z.  Both identities are read off the _ProductTable that L's
+    constants give for the adjoint module, where G_k(x) = <x,.>_k and
+    F_k(y) = -<.,y>_k: column l of
 
         G_h(<e_i,e_j>_k)                     is <<e_i,e_j>_k, e_l>_h,
         G_k(e_i)G_h(e_j) - F_k(e_j)G_h(e_i)  is <e_i,<e_j,e_l>_h>_k
@@ -216,26 +270,26 @@ def check_algebra(L: LieLikeAlgebra) -> list[AlgebraViolation]:
     (first and last) identity at (i, j, l, k, h).
     """
     n = L.dim
-    t = _ProductTable(adjoint(L))
-    (F, G), c = t.ops, t.c
+    t = _ProductTable(L)
+    FG, GG, CG = t.grid(0, 1), t.grid(1, 1), t.combos(1)
+    c, e = t.c, t.e
     out = []
     for k in range(L.s):
         for h in range(L.s):
             for i in range(n):
                 for j in range(n):
-                    lhs = t.combo(1, h, c[k][i][j])
-                    rhs = t.difference(G[k][i], G[h][j], F[k][j], G[h][i])
+                    lhs = CG[h][c[k][i][j]]
+                    rhs = e * (GG[k * n + i][h * n + j] - FG[k * n + j][h * n + i])
                     # the swap identity is symmetric in (k, h)
-                    other = t.combo(1, k, c[h][i][j]) if h < k else lhs
-                    if lhs == rhs and lhs == other:
+                    other = CG[k][c[h][i][j]] if h < k else lhs
+                    if lhs == rhs == other:
                         continue
+                    jacobi, swap = t.residual(lhs - rhs, e), t.residual(lhs - other, e)
                     for l in range(n):
-                        a = lhs[l::n]
-                        for identity, b in (("jacobi-like", rhs[l::n]),
-                                            ("index-swap", other[l::n])):
-                            if a != b:
-                                out.append(AlgebraViolation(
-                                    identity, (i, j, l, k, h), t.residual(a, b, t.e)))
+                        for identity, r in (("jacobi-like", jacobi[l::n]),
+                                            ("index-swap", swap[l::n])):
+                            if any(r):
+                                out.append(AlgebraViolation(identity, (i, j, l, k, h), r))
     return out
 
 
@@ -244,21 +298,23 @@ def check_derived_identities(M: OrdinaryModule) -> Report:
 
     These follow from the axioms over a valid algebra; a failure signals an
     internal inconsistency, never a user error, so the outcome is reported
-    rather than raised.
+    rather than raised.  Each side is a combination of the module's
+    _ProductTable, which check_module has usually built already.
     """
     L = M.algebra
     if L.s < 2:  # the identities pair two distinct indices
         return Report(True)
-    t = _ProductTable(M)
+    t = M._product_table
+    CF, CG, c = t.combos(0), t.combos(1), t.c
     failures = []
     for k in range(L.s):
         for h in range(k + 1, L.s):
             for i in range(L.dim):
                 for j in range(L.dim):
-                    wk, wh = t.c[k][i][j], t.c[h][i][j]
-                    if t.combo(0, h, wk) != t.combo(0, k, wh):
+                    wk, wh = c[k][i][j], c[h][i][j]
+                    if CF[h][wk] != CF[k][wh]:
                         failures.append(f"f-swap at (k={k}, h={h}, i={i}, j={j})")
-                    if t.combo(1, h, wk) != t.combo(1, k, wh):
+                    if CG[h][wk] != CG[k][wh]:
                         failures.append(f"g-swap at (k={k}, h={h}, i={i}, j={j})")
     return Report(not failures, tuple(failures))
 

@@ -3,8 +3,10 @@
 The instances carry rational data, so the common denominators D (of the
 operators) and E (of the structure constants) exceed 1, and besides the
 generator's constructions they include Lie algebras whose operators do not
-multiply to zero.  Perturbed instances break the axioms at several index
-tuples at once.
+multiply to zero.  Scaled instances multiply all of an instance's data by
+one large rational, so the entries of the axiom checks' packed products
+reach widths of hundreds of bits.  Perturbed instances break the axioms at
+several index tuples at once.
 """
 
 from fractions import Fraction as F
@@ -75,6 +77,28 @@ def basis_changed_instances(draw):
     return transform_instance(L, M, random_unimodular(rng, L.dim, 2))
 
 
+def scaled(L, M, t):
+    """(t*L, t*M): the constants and every operator multiplied by t.  Each
+    identity and axiom has the same degree on both sides, 2 in L and M's
+    data together, so a valid instance stays valid."""
+    c = tuple(tuple(tuple(tuple(t * x for x in v) for v in row) for row in tk)
+              for tk in L.c)
+    tL = LieLikeAlgebra(L.dim, L.s, c)
+    fams = [tuple(tuple(Matrix([[t * x for x in r] for r in op.rows]) for op in fk)
+                  for fk in fam) for fam in (M.F, M.G)]
+    return tL, OrdinaryModule(tL, M.vdim, *fams)
+
+
+@st.composite
+def scaled_instances(draw):
+    """A valid instance scaled by t = (10^k + r)/q, k <= 40, q <= 10^6."""
+    L, M = draw(valid_instances())
+    k = draw(st.integers(0, 40))
+    t = F(10**k + draw(st.integers(-10**6, 10**6).filter(lambda r: r != -10**k)),
+          draw(st.integers(1, 10**6)))
+    return scaled(L, M, t)
+
+
 def shifted_algebra(L, shifts):
     """L with the structure constants ((k, i, j, a), delta) shifted."""
     c = [[[list(v) for v in row] for row in tk] for tk in L.c]
@@ -99,10 +123,10 @@ def shifted(M, op_shifts=(), c_shifts=()):
 
 
 @st.composite
-def perturbed_modules(draw):
+def perturbed_modules(draw, instances=valid_instances()):
     """A valid instance's module with up to three operator entries and up
-    to two structure constants shifted (its algebra is M.algebra)."""
-    _, M = draw(valid_instances())
+    to three structure constants shifted (its algebra is M.algebra)."""
+    _, M = draw(instances)
     n, s, m = M.algebra.dim, M.algebra.s, M.vdim
 
     def below(bound):

@@ -26,13 +26,16 @@ from lielike import modules
 from lielike.generate import transform_instance
 from lielike.linalg import vec
 from lielike.modules import ModuleViolation, Report
+from lielike.verify import run_verify
 from strategies import (
     diagonal,
     perturbed_modules,
+    scaled_instances,
     shifted,
     shifted_algebra,
     valid_instances,
 )
+from test_algebra import naive_check_algebra
 
 F = Fraction
 
@@ -200,10 +203,49 @@ class TestIntegerChecksMatchFractionLoops:
         assert check_derived_identities(M) == Report(True)
 
 
+class TestPackedWidth:
+    """The product table packs each matrix into one int with digits of a
+    width computed from the entry bounds; on large entries every check must
+    still equal its Fraction loop, residuals and order included."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(scaled_instances())
+    def test_scaled_valid_instances_pass(self, instance):
+        L, M = instance
+        assert check_algebra(L) == [] == naive_check_algebra(L)
+        assert check_module(M) == [] == naive_check_module(M)
+        assert check_derived_identities(M) == Report(True) == naive_derived_identities(M)
+
+    @settings(max_examples=40, deadline=None)
+    @given(perturbed_modules(scaled_instances()))
+    def test_scaled_and_perturbed(self, M):
+        assert check_algebra(M.algebra) == naive_check_algebra(M.algebra)
+        assert check_module(M) == naive_check_module(M)
+        assert check_derived_identities(M) == naive_derived_identities(M)
+
+    def test_residual_at_the_bound(self):
+        # D = E = 1, m = n = 2: a = 2^40 bounds the operators and 2a the
+        # constant vector, so B = max(2*E*m*a^2, D*n*b*a) = 4a^2, a power of
+        # two.  The eq-1.3 residual at (0, 0, 0, 1) is the combination
+        # 2a*(F_0 + F_1) minus [F_0, F_1]; its entry (0, 1) is 4a^2 + 4a^2
+        # = 2B, which a width one bit short reads as -2B.
+        a = 2**40
+        L = LieLikeAlgebra.from_constants(2, 1, {(0, 0, 1): [2 * a, 2 * a]})
+        F0, F1 = Matrix([[-a, a], [0, a]]), Matrix([[a, a], [0, -a]])
+        zero = Matrix.zeros(2, 2)
+        M = OrdinaryModule(L, 2, ((F0, F1),), ((zero, zero),))
+        violations = check_module(M)
+        assert violations == naive_check_module(M)
+        first = violations[0]
+        assert (first.axiom, first.witness) == ("eq-1.3", (0, 0, 0, 1))
+        assert first.residual.rows[0][1] == 8 * a * a
+
+
 class TestOneProductTable:
     """check_algebra and check_module each build one _ProductTable and read
     every comparison and every residual from it: no Fraction matrix product
-    is taken, not even for a failing tuple."""
+    is taken, not even for a failing tuple.  check_derived_identities reads
+    the table check_module built for the same module."""
 
     @staticmethod
     def counted(monkeypatch, check, arg):
@@ -211,9 +253,9 @@ class TestOneProductTable:
         counts = [0, 0]
         table, matmul = modules._ProductTable, Matrix.__matmul__
 
-        def counted_table(M):
+        def counted_table(*args):
             counts[0] += 1
-            return table(M)
+            return table(*args)
 
         def counted_matmul(a, b):
             counts[1] += 1
@@ -233,6 +275,18 @@ class TestOneProductTable:
         M = generate(GeneratorSpec("graded-nilpotent", 3, 3, 0)).module
         twin = shifted(M, [(("G", 0, 0, r, r), 1) for r in range(M.vdim)])
         assert self.counted(monkeypatch, check_module, twin) == (1, 0)
+
+    def test_verify_builds_two_tables(self, monkeypatch):
+        # one from the algebra's constants, one for the module
+        M = generate(GeneratorSpec("graded-nilpotent", 3, 3, 0)).module
+        verified = lambda M: run_verify(M.algebra, M)[1] == 0
+        assert self.counted(monkeypatch, verified, M)[0] == 2
+
+    def test_derived_identities_reuse_the_module_table(self, monkeypatch):
+        M = generate(GeneratorSpec("graded-nilpotent", 3, 3, 0)).module
+        assert check_module(M) == []
+        passed = lambda M: check_derived_identities(M).ok
+        assert self.counted(monkeypatch, passed, M) == (0, 0)
 
 
 class TestDerivedIdentities:

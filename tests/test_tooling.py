@@ -105,8 +105,7 @@ def test_no_unused_imports_in_library_modules():
 # the one place outside linalg that holds integer rows, and the linalg
 # helpers it may use
 TABLE = ("modules.py", "_ProductTable")
-TABLE_HELPERS = {
-    "_common_denominator", "_scaled_ints", "_sparse", "_int_combine", "_int_matmul"}
+TABLE_HELPERS = {"_common_denominator", "_scaled_ints", "_sparse", "_int_combine"}
 
 
 def integer_row_leaks(module, tree):
