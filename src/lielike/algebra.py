@@ -8,8 +8,10 @@ identities are the Jacobi-like identity
 
 and the index-swap identity <<x,y>_k, z>_h = <<x,y>_h, z>_k.
 
-Codimension-1 splits run on subalgebras A held as subspaces of L, one
-elimination per split deciding how A's basis extends D^2 A.
+Codimension-1 splits run on subalgebras A held as subspaces of L: each
+spans A's brackets once, as D^2 A, and an elimination on the at most
+dim A column-reversed coordinate rows of D^2 A's basis decides how A's
+basis extends it.
 """
 
 from __future__ import annotations
@@ -163,12 +165,14 @@ def _split_codim1(L: LieLikeAlgebra, A: Subspace) -> tuple[Subspace, Vector]:
     for the standard one: basis vector i is appended iff no vector of D^2 A
     has its last nonzero coordinate (entries at A's pivots) at i."""
     m, basis = A.dim, A.basis
-    brackets = [bracket(L, a, b, k) for a in basis for b in basis for k in range(L.s)]
-    rev = Subspace.span(m, [[w[p] for p in reversed(A.pivots)] for w in brackets])
+    d2a = Subspace.span(
+        L.dim, (bracket(L, a, b, k) for a in basis for b in basis for k in range(L.s)))
+    # D^2 A lies in A, so its coordinates are its entries at A's pivots
+    rev = Subspace.span(m, [[w[p] for p in reversed(A.pivots)] for w in d2a.basis])
     appended = [i for i in range(m) if m - 1 - i not in rev.pivots]
     if not appended:
         raise NotSolvable("D^2 L = L blocks the codimension-1 split")
-    ideal = Subspace.span(L.dim, brackets + [basis[i] for i in appended[:-1]])
+    ideal = d2a.add(Subspace.span(L.dim, [basis[i] for i in appended[:-1]]))
     return ideal, basis[appended[-1]]
 
 

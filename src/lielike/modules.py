@@ -29,15 +29,16 @@ from typing import Sequence
 from .algebra import AlgebraViolation, LieLikeAlgebra
 from .errors import DimensionMismatch
 from .linalg import (
+    ZERO,
     Matrix,
     Subspace,
     Vector,
     _common_denominator,
     _scaled_ints,
     _sparse,
-    combine,
     inverse,
     is_invariant,
+    linear_combination,
 )
 
 OperatorFamily = tuple[tuple[Matrix, ...], ...]  # [k][i]
@@ -77,9 +78,9 @@ class OrdinaryModule:
 
 
 def _linear_combination(ops: Sequence[Matrix], z: Vector, m: int) -> Matrix:
-    terms = [(zi, op.rows) for zi, op in zip(z, ops, strict=True) if zi]
-    return Matrix([combine(((zi, rows[r]) for zi, rows in terms), m)
-                   for r in range(m)])
+    """f_k(z) or g_k(z) from the family ops = F[k] or G[k]: every operator
+    of a module at an algebra element is made here."""
+    return linear_combination(ops, z, m)
 
 
 @dataclass(frozen=True)
@@ -204,13 +205,14 @@ class _ProductTable:
     def residual(self, diff: int, e: int) -> Vector:
         """The m*m entries of a packed difference of two values that carry
         the scale D^2 e (e = E for a combination or a difference, 1 for a
-        product), row-major and divided by that scale: the exact residual."""
+        product), row-major and divided by that scale: the exact residual.
+        Its entries are mostly zero, and those share ZERO."""
         width, scale = self.width, self.d * self.d * e
         mask, half = (1 << width) - 1, 1 << (width - 1)
         out = []
         for _ in range(self.m * self.m):
             x = ((diff + half) & mask) - half  # the balanced digit
-            out.append(Fraction(x, scale))
+            out.append(Fraction(x, scale) if x else ZERO)
             diff = (diff - x) >> width
         return tuple(out)
 

@@ -8,7 +8,9 @@ the joint weight space U of the functionals found over A_{j-1} and
 branches on whether it meets the plus annihilator of A_j.
 U grows level by level: where the new functionals extend the old, it is
 the old U cut by the eigen-steps of x_{j-1}'s operators; else it is
-computed afresh from all of Q^m.
+computed afresh from all of Q^m.  In case 2 those eigen-steps are the
+ones the level took for its joint eigenvector, so the joint eigenspace is
+carried up as the next U and no eigen-step is taken twice.
 The result is a nonzero vector v and functionals phi_k, psi_k with
 f_k(z)v = phi_k(z)v and g_k(z)v = psi_k(z)v, satisfying the dichotomy: all
 psi_k vanish or phi_k = psi_k for every k.  The solver works on `Matrix`
@@ -200,12 +202,16 @@ def solve(L: LieLikeAlgebra, M: OrdinaryModule) -> SolveResult:
             except NotInvariant as exc:
                 raise TheoremViolation("f_k(x) must preserve the weight space") from exc
             try:
-                v, mus = joint_eigenvector(Gx, u_lam)
+                space, mus = joint_eigenspace(Gx, u_lam)
             except NotInvariant as exc:
                 raise TheoremViolation(
                     "g_k(x) must preserve the joint eigenspace in case 2"
                 ) from exc
             phi, psi, tag = _extend(phi, lams), _extend(psi, mus), TAG_CASE_2
+            # the joint eigenspace in U is the weight space over A_{j+1}:
+            # carried up, it leaves the next level no eigen-step to take
+            U, held = space, Weight(phi, psi)
+            v = U.basis[0]
         trace[:0] = tags + [tag]
 
     # row j of B is x_j, so the values on the x's are B phi

@@ -8,10 +8,11 @@ converts the functionals to its own standard basis by inverting the basis
 one loop; the two must agree on every instance, result and error alike.
 
 The split, the flag and the oracle have references here too: the greedy
-split extends D^2 L one standard vector at a time, the flag restricts the
-algebra at every level and maps each x back through the level's basis,
-and the oracle intersects each front with the operator's eigenspaces on
-the whole space.
+split extends D^2 L one standard vector at a time, the two-elimination
+split runs both of its eliminations over every bracket, the flag
+restricts the algebra at every level and maps each x back through the
+level's basis, and the oracle intersects each front with the operator's
+eigenspaces on the whole space.
 """
 
 from fractions import Fraction
@@ -26,6 +27,7 @@ from lielike import (
     Subspace,
     TheoremViolation,
     Weight,
+    bracket,
     check_dichotomy,
     derived_algebra,
     eigenspace,
@@ -169,6 +171,20 @@ def greedy_split(L):
     x = appended[-1]
     A = Subspace.span(L.dim, list(d2.basis) + appended[:-1])
     return A, x
+
+
+def two_elimination_split(L, A):
+    """`algebra._split_codim1(L, A)` with both eliminations over all s*m^2
+    brackets of A's canonical basis: one on their column-reversed
+    coordinates for the appended vectors, one for the ideal."""
+    m, basis = A.dim, A.basis
+    brackets = [bracket(L, a, b, k) for a in basis for b in basis for k in range(L.s)]
+    rev = Subspace.span(m, [[w[p] for p in reversed(A.pivots)] for w in brackets])
+    appended = [i for i in range(m) if m - 1 - i not in rev.pivots]
+    if not appended:
+        raise NotSolvable("D^2 L = L blocks the codimension-1 split")
+    ideal = Subspace.span(L.dim, brackets + [basis[i] for i in appended[:-1]])
+    return ideal, basis[appended[-1]]
 
 
 def chain_levels(L):

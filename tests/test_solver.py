@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from random import Random
 from unittest import mock
 
 import pytest
@@ -40,7 +41,8 @@ from lielike import (
     verify_weight,
     weight_space,
 )
-from lielike import solver, verify
+from lielike import CONSTRUCTIONS, linalg, solver, verify
+from lielike.generate import random_unimodular, transform_instance
 from lielike.linalg import common_eigenspace, vec
 from lielike.algebra import _split_codim1
 from reference_solver import (
@@ -49,6 +51,7 @@ from reference_solver import (
     greedy_split,
     intersecting_oracle,
     recursive_solve,
+    two_elimination_split,
 )
 from strategies import (
     AFF1,
@@ -612,6 +615,38 @@ class TestSplitOnSubspaces:
         assert self.on_algebra(self.levels, L) == self.on_algebra(chain_levels, L)
         assert self.on_algebra(solver._flag, L) == self.on_algebra(chain_flag, L)
 
+    @staticmethod
+    def splits_agree(L):
+        """Runs the split down L's flag, checking each level's (ideal, x), or
+        the error raised, against the two-elimination reference; returns
+        the error, or None when the flag reaches the zero space."""
+        A = Subspace.full(L.dim)
+        while A.dim:
+            got = outcome(_split_codim1, L, A)
+            assert got == outcome(two_elimination_split, L, A)
+            if not isinstance(got[0], Subspace):
+                return got
+            A = got[0]
+        return None
+
+    @pytest.mark.parametrize("construction", CONSTRUCTIONS)
+    def test_one_elimination_matches_two(self, construction):
+        for n, s, seed in ((1, 1, 0), (2, 3, 1), (3, 2, 2), (4, 3, 3), (5, 2, 4)):
+            L = generate(GeneratorSpec(construction, n, s, seed)).algebra
+            assert self.splits_agree(L) is None
+            P = random_unimodular(Random(seed), n, 2)
+            assert self.splits_agree(transform_instance(L, adjoint(L), P)[0]) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(basis_changed_instances())
+    def test_one_elimination_matches_two_after_basis_changes(self, instance):
+        self.splits_agree(instance[0])
+
+    def test_blocked_splits(self, sl2, sl2_plus_line):
+        blocked = (NotSolvable, "D^2 L = L blocks the codimension-1 split")
+        assert self.splits_agree(sl2) == blocked
+        assert self.splits_agree(sl2_plus_line) == blocked
+
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(valid_instances(),
                      perturbed_modules().map(lambda M: (M.algebra, M))))
@@ -701,6 +736,66 @@ class TestGrownWeightSpace:
     def test_valid_instances(self, instance):
         with pytest.MonkeyPatch.context() as mp:
             self.run(record_levels(mp), *instance)
+
+
+class TestEigenStepsTakenOnce:
+    """solve takes each eigen-step once.  In case 2 the joint eigenspace of
+    x's operators inside U is the weight space one level up, so the next
+    level's weight space takes no eigen-step; the eigen-steps of a whole
+    solve are pinned."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """A list that the solves that follow fill with the eigen-steps each
+        _next_weight_space call takes; its `total` counts every eigen-step."""
+        seen = StepLog()
+        step, grow = linalg._eigen_step, solver._next_weight_space
+
+        def counted(*args):
+            seen.total += 1
+            return step(*args)
+
+        def recorded(*args):
+            before = seen.total
+            out = grow(*args)
+            seen.append(seen.total - before)
+            return out
+
+        monkeypatch.setattr(linalg, "_eigen_step", counted)
+        monkeypatch.setattr(solver, "_next_weight_space", recorded)
+        return seen
+
+    @staticmethod
+    def run(steps, L, M):
+        """The eigen-steps of solve(L, M), after checking that every level
+        above a case-2 level took none for its weight space."""
+        steps.clear()
+        steps.total = 0
+        res = solve(L, M)
+        # one tag per level, bottom level first: case 1 precedes its branch
+        tags = [tag for tag in reversed(res.branch_trace) if tag != solver.TAG_CASE_1]
+        assert len(tags) == len(steps) == L.dim
+        for j, tag in enumerate(tags[:-1]):
+            if tag == solver.TAG_CASE_2:
+                assert steps[j + 1] == 0
+        return steps.total
+
+    @pytest.mark.parametrize("name, total", [("leib2", 3), ("nt3", 10), ("aff2", 4)])
+    def test_fixtures(self, steps, name, total, request):
+        L = request.getfixturevalue(name)
+        assert self.run(steps, L, adjoint(L)) == total
+
+    def test_spectral_wide_seed_0(self, steps):
+        # the benchmark's spectral-wide instances at seed 0
+        totals = []
+        for n, seed in ((6, 0), (6, 1), (7, 0)):
+            inst = generate(GeneratorSpec("direct-sum", n, 1, seed))
+            totals.append(self.run(steps, inst.algebra, inst.module))
+        assert totals == [13, 13, 15]
+
+
+class StepLog(list):
+    total = 0
 
 
 # aff(1) + aff(1): <e_1, e_0> = e_0 and <e_3, e_2> = e_2
