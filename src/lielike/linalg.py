@@ -3,11 +3,8 @@ rational eigen-computations, and joint-eigenvector search.
 
 Values are ``fractions.Fraction``; eliminations, spectra, annihilators and
 weight checks run on integer rows, which only this module and the axiom
-checks' product table (``modules._ProductTable``) build.  A module's
-operators f_k(z), g_k(z) are summed on integer rows too
-(`linear_combination`), and build their ``Fraction`` rows only when read.
-No floating point appears anywhere.  Values are immutable and operations
-are pure functions.
+checks' product table (``modules._ProductTable``) build.  No floating point
+appears anywhere.  Values are immutable and operations are pure functions.
 """
 
 from __future__ import annotations
@@ -120,30 +117,17 @@ def _int_combine(terms: Iterable[tuple], n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    """Dense immutable matrix over the rationals.
+    """Dense immutable matrix over the rationals."""
 
-    A matrix made by `linear_combination` starts from its integer form
-    and builds its `Fraction` rows only when they are first read; until
-    then `apply` runs on the integer form.
-    """
-
-    __slots__ = ("_q", "_int")
+    __slots__ = ("rows", "_int")
 
     def __init__(self, rows: Iterable[Iterable]):
-        self._q: tuple[Vector, ...] | None = tuple(vec(r) for r in rows)
+        self.rows: tuple[Vector, ...] = tuple(vec(r) for r in rows)
         self._int: tuple[int, tuple[tuple[int, ...], ...]] | None = None
-        if self._q:
-            w = len(self._q[0])
-            if any(len(r) != w for r in self._q):
+        if self.rows:
+            w = len(self.rows[0])
+            if any(len(r) != w for r in self.rows):
                 raise DimensionMismatch("ragged matrix rows")
-
-    @classmethod
-    def _from_integer(cls, d: int, rows: tuple[tuple[int, ...], ...]) -> "Matrix":
-        """The matrix rows/d, from its integer form: d the lcm of the entry
-        denominators of rows/d, as `_integer` gives it."""
-        out = cls.__new__(cls)
-        out._q, out._int = None, (d, rows)
-        return out
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
@@ -158,20 +142,12 @@ class Matrix:
         return cls([[col[i] for col in cols] for i in range(nrows)])
 
     @property
-    def rows(self) -> tuple[Vector, ...]:
-        if self._q is None:
-            d, rows = self._int
-            self._q = tuple(tuple(Fraction(x, d) if x else ZERO for x in r) for r in rows)
-        return self._q
-
-    @property
     def nrows(self) -> int:
-        return len(self._q if self._q is not None else self._int[1])
+        return len(self.rows)
 
     @property
     def ncols(self) -> int:
-        rows = self._q if self._q is not None else self._int[1]
-        return len(rows[0]) if rows else 0
+        return len(self.rows[0]) if self.rows else 0
 
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.rows)
@@ -180,13 +156,6 @@ class Matrix:
         """Matrix-vector product (vectors are coordinate columns)."""
         if len(v) != self.ncols:
             raise DimensionMismatch("matrix/vector shape mismatch")
-        if self._q is None:
-            # Mv = (DM)y / (Dc) for the integer vector y = cv
-            d, dm = self._int
-            c = _common_denominator(v)
-            y, dc = _scaled_ints(v, c), d * c
-            return tuple(Fraction(t, dc) if (t := sum(map(mul, row, y))) else ZERO
-                         for row in dm)
         # Mv is the combination of M's columns by the entries of v
         return combine(zip(v, zip(*self.rows)), self.nrows)
 
@@ -227,23 +196,6 @@ class Matrix:
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a @ b - b @ a
-
-
-def linear_combination(ops: Sequence[Matrix], z: Vector, m: int) -> Matrix:
-    """sum_i z_i ops[i] for m x m operators, on their integer forms.
-
-    With z_i = p_i/q_i and ops[i] = R_i/d_i, the sum is S/N for N the lcm
-    of the q_i d_i and S = sum_i p_i (N/(q_i d_i)) R_i; dividing S and N by
-    the gcd g of N and S's entries gives the integer form (N/g, S/g).
-    """
-    terms = [(zi, op._integer()) for zi, op in zip(z, ops, strict=True) if zi]
-    n = lcm(*(zi.denominator * d for zi, (d, _) in terms))
-    acc = [[0] * m for _ in range(m)]
-    for zi, (d, rows) in terms:
-        c = zi.numerator * (n // (zi.denominator * d))
-        acc = [[a + c * x for a, x in zip(arow, row)] for arow, row in zip(acc, rows)]
-    g = gcd(n, *chain.from_iterable(acc))
-    return Matrix._from_integer(n // g, tuple(tuple(x // g for x in r) for r in acc))
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,9 @@ from .linalg import (
     _common_denominator,
     _scaled_ints,
     _sparse,
+    combine,
     inverse,
     is_invariant,
-    linear_combination,
 )
 
 OperatorFamily = tuple[tuple[Matrix, ...], ...]  # [k][i]
@@ -78,9 +78,9 @@ class OrdinaryModule:
 
 
 def _linear_combination(ops: Sequence[Matrix], z: Vector, m: int) -> Matrix:
-    """f_k(z) or g_k(z) from the family ops = F[k] or G[k]: every operator
-    of a module at an algebra element is made here."""
-    return linear_combination(ops, z, m)
+    terms = [(zi, op.rows) for zi, op in zip(z, ops, strict=True) if zi]
+    return Matrix([combine(((zi, rows[r]) for zi, rows in terms), m)
+                   for r in range(m)])
 
 
 @dataclass(frozen=True)

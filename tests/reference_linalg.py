@@ -7,7 +7,7 @@ different method, something the library computes itself.
 from fractions import Fraction
 from math import isqrt, lcm
 
-from lielike.linalg import Matrix, combine
+from lielike.linalg import Matrix
 
 F = Fraction
 
@@ -160,14 +160,6 @@ def rank(m: Matrix) -> int:
 def scalar_matrix(n: int, c) -> Matrix:
     """c times the n x n identity, written out entry by entry."""
     return Matrix([[F(c) if i == j else F(0) for j in range(n)] for i in range(n)])
-
-
-def reference_linear_combination(ops, z, m: int) -> Matrix:
-    """sum_i z_i ops[i] for m x m operators, in Fraction arithmetic: row r
-    is one sparse sum (`combine`) of the operators' rows r."""
-    terms = [(zi, op.rows) for zi, op in zip(z, ops, strict=True) if zi]
-    return Matrix([combine(((zi, rows[r]) for zi, rows in terms), m)
-                   for r in range(m)])
 
 
 # Textbook subspace operations over Fraction rows.  Each subspace is a pair

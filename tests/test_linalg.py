@@ -18,7 +18,6 @@ from lielike.linalg import (
     joint_eigenspace,
     joint_eigenvector,
     kernel,
-    linear_combination,
     rational_eigenvalues,
     rref,
     restrict_operator,
@@ -29,12 +28,10 @@ from reference_linalg import (
     poly_eval,
     rank,
     reference_charpoly,
-    reference_linear_combination,
     reference_rational_roots,
     reference_rref,
     scalar_matrix,
 )
-from strategies import scaled_instances, valid_instances
 
 F = Fraction
 
@@ -225,66 +222,6 @@ class TestCombine:
     def test_integer_coefficients(self):
         assert combine([(2, vec([1, 0])), (0, vec([5, 5])), (-1, vec([0, 3]))], 2) == (
             F(2), F(-3))
-
-
-# coefficients and vector entries: zeros, small fractions, and numerators
-# and denominators far beyond a machine word
-coefficients = st.one_of(
-    st.just(F(0)), small_fracs,
-    st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**12)))
-
-
-@st.composite
-def combination_cases(draw):
-    """(ops, z, m, vs): an operator family F[k] or G[k] of a valid or scaled
-    instance (or as many m x m zero operators), an algebra element z that
-    may be zero, and vectors of Q^m to apply the combination to."""
-    L, M = draw(st.one_of(valid_instances(), scaled_instances()))
-    m = M.vdim
-    ops = draw(st.sampled_from([fk for fam in (M.F, M.G) for fk in fam]))
-    if draw(st.booleans()):
-        ops = (Matrix.zeros(m, m),) * len(ops)
-    z = draw(st.one_of(st.just((F(0),) * L.dim),
-                       st.tuples(*[coefficients] * L.dim)))
-    vs = draw(st.lists(st.tuples(*[coefficients] * m), min_size=1, max_size=3))
-    return ops, z, m, vs
-
-
-class TestLinearCombination:
-    """linear_combination sums the operators' integer forms and returns the
-    matrix that the Fraction sum gives, with its canonical integer form."""
-
-    def test_denominator_is_the_lcm_of_the_entries(self):
-        ops = [mat([[F(1, 2), 0], [0, F(1, 3)]]), mat([[F(1, 2), 0], [0, F(1, 6)]])]
-        got = linear_combination(ops, (F(1), F(-1)), 2)
-        assert got._integer() == (6, ((0, 0), (0, 1)))
-        assert got.apply((F(5), F(3, 7))) == (0, F(1, 14))
-        assert got.rows == ((0, 0), (0, F(1, 6)))
-
-    def test_zero_sums(self):
-        ops = [mat([[F(1, 2), 1], [0, F(1, 3)]])]
-        for got in (linear_combination(ops, (F(0),), 2),
-                    linear_combination([Matrix.zeros(2, 2)], (F(3, 5),), 2)):
-            assert got._integer() == (1, ((0, 0), (0, 0)))
-            assert got == Matrix.zeros(2, 2) and got.apply((F(1), F(2))) == (0, 0)
-
-    @settings(max_examples=150, deadline=None)
-    @given(combination_cases())
-    def test_matches_the_fraction_sum(self, case):
-        ops, z, m, vs = case
-        want = reference_linear_combination(ops, z, m)
-        got = linear_combination(ops, z, m)
-        # first on the integer form, before the Fraction rows are read
-        images = [got.apply(v) for v in vs]
-        assert images == [want.apply(v) for v in vs]
-        assert all(type(x) is F for image in images for x in image)
-        assert (got.nrows, got.ncols) == (want.nrows, want.ncols) == (m, m)
-        assert got._integer() == want._integer()
-        assert got.rows == want.rows
-        assert all(type(x) is F for row in got.rows for x in row)
-        assert got == want and want == got and hash(got) == hash(want)
-        # then on the Fraction rows, once read
-        assert [got.apply(v) for v in vs] == images
 
 
 def textbook_product(a, b):
