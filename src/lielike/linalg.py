@@ -1,10 +1,11 @@
 """Exact rational linear algebra: vectors, matrices, canonical subspaces,
 rational eigen-computations, and joint-eigenvector search.
 
-Values are ``fractions.Fraction``; eliminations, spectra, annihilators and
-weight checks run on integer rows, which only this module and the axiom
-checks' product table (``modules._ProductTable``) build.  No floating point
-appears anywhere.  Values are immutable and operations are pure functions.
+Vectors are ``fractions.Fraction`` tuples.  Matrices (one denominator over
+integer rows) and subspaces (canonical integer rows) build their Fractions
+when read; only this module and ``modules._ProductTable`` read the integer
+rows.  No floating point appears anywhere.  Values are immutable and
+operations are pure functions.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ def unit_vec(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vadd(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
 def vsub(a: Vector, b: Vector) -> Vector:
     # operators are sparse: a zero y leaves x as it is
     return tuple(x - y if y else x for x, y in zip(a, b, strict=True))
@@ -79,9 +76,9 @@ def combine(terms: Iterable[tuple], n: int) -> Vector:
     return tuple(acc)
 
 
-# Matrix._integer, the subspaces and the axiom checks' product table scale
-# rational data by a common denominator and work on rows of int; these
-# helpers stay private to them.
+# Matrix, the subspaces and the axiom checks' product table scale rational
+# data by a common denominator and work on rows of int; these helpers stay
+# private to them.
 
 def _common_denominator(values: Iterable) -> int:
     """The lcm of the denominators (1 for no values)."""
@@ -96,6 +93,11 @@ def _scaled_ints(values: Iterable, d: int) -> tuple[int, ...]:
 def _sparse(values: Iterable[int]) -> tuple[tuple[int, int], ...]:
     """The (index, entry) pairs of the nonzero entries."""
     return tuple((j, x) for j, x in enumerate(values) if x)
+
+
+def _over(values: Iterable[int], d: int) -> Vector:
+    """The integers divided by d > 0, sharing the common ZERO and ONE."""
+    return tuple(ZERO if not x else ONE if x == d else Fraction(x, d) for x in values)
 
 
 # Dense integer results are lists, not tuples: CPython keeps up to 2000
@@ -117,81 +119,103 @@ def _int_combine(terms: Iterable[tuple], n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    """Dense immutable matrix over the rationals."""
+    """Dense immutable matrix over the rationals, held as (D, DM): D > 0 the
+    lcm of its entry denominators and DM as rows of int, so that D and the
+    entries of DM are coprime.  `rows` and `column` build `Fraction`s."""
 
-    __slots__ = ("rows", "_int")
+    __slots__ = ("_d", "_rows")
 
     def __init__(self, rows: Iterable[Iterable]):
-        self.rows: tuple[Vector, ...] = tuple(vec(r) for r in rows)
-        self._int: tuple[int, tuple[tuple[int, ...], ...]] | None = None
-        if self.rows:
-            w = len(self.rows[0])
-            if any(len(r) != w for r in self.rows):
-                raise DimensionMismatch("ragged matrix rows")
+        rows = [vec(r) for r in rows]
+        if rows and any(len(r) != len(rows[0]) for r in rows):
+            raise DimensionMismatch("ragged matrix rows")
+        # no prime of the lcm divides every scaled entry
+        d = _common_denominator(chain.from_iterable(rows))
+        self._d, self._rows = d, tuple(_scaled_ints(r, d) for r in rows)
+
+    @classmethod
+    def _lowest(cls, d: int, rows: Iterable[Sequence[int]]) -> "Matrix":
+        """The matrix with integer rows `rows` over d > 0, in lowest terms."""
+        rows = tuple(map(tuple, rows))
+        g, m = gcd(d, *chain.from_iterable(rows)), cls.__new__(cls)
+        m._d, m._rows = d // g, rows if g == 1 else tuple(tuple(x // g for x in r) for r in rows)
+        return m
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([zero_vec(ncols) for _ in range(nrows)])
+        return cls._lowest(1, [(0,) * ncols] * nrows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([unit_vec(n, i) for i in range(n)])
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[Vector], nrows: int) -> "Matrix":
-        return cls([[col[i] for col in cols] for i in range(nrows)])
+        return cls._lowest(1, ([int(i == j) for j in range(n)] for i in range(n)))
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self._rows[0]) if self._rows else 0
+
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        return tuple(_over(r, self._d) for r in self._rows)
 
     def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
+        return _over((r[j] for r in self._rows), self._d)
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product (vectors are coordinate columns)."""
         if len(v) != self.ncols:
             raise DimensionMismatch("matrix/vector shape mismatch")
-        # Mv is the combination of M's columns by the entries of v
-        return combine(zip(v, zip(*self.rows)), self.nrows)
+        # Mv = (DM)(ev) / (De) for e the lcm of v's denominators
+        y = _scaled_ints(v, e := _common_denominator(v))
+        return _over((sum(map(mul, r, y)) for r in self._rows), self._d * e)
 
     def _integer(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(D, D*M as rows of int), D the lcm of the entry denominators;
-        computed on first use and kept, as the rows never change."""
-        if self._int is None:
-            d = _common_denominator(x for r in self.rows for x in r)
-            self._int = (d, tuple(_scaled_ints(r, d) for r in self.rows))
-        return self._int
+        """(D, D*M as rows of int), the matrix's own state."""
+        return self._d, self._rows
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise DimensionMismatch("matrix product shape mismatch")
-        # row i of AB is the combination of B's rows by row i of A
-        n = other.ncols
-        return Matrix([combine(zip(row, other.rows), n) for row in self.rows])
+        cols = list(zip(*other._rows))
+        return Matrix._lowest(self._d * other._d, (
+            [sum(map(mul, r, c)) for c in cols] for r in self._rows))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("matrix sum shape mismatch")
-        return Matrix([vadd(a, b) for a, b in zip(self.rows, other.rows)])
+        return linear_combination(((1, self), (1, other)), self.nrows, self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("matrix difference shape mismatch")
-        return Matrix([vsub(a, b) for a, b in zip(self.rows, other.rows)])
+        return linear_combination(((1, self), (-1, other)), self.nrows, self.ncols)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return isinstance(other, Matrix) and self._integer() == other._integer()
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self._d, self._rows))
 
     def __repr__(self) -> str:
         return f"Matrix({[list(map(str, r)) for r in self.rows]})"
+
+
+def linear_combination(terms: Iterable[tuple], nrows: int, ncols: int) -> Matrix:
+    """Sum of c*A over the (c, A) pairs with c nonzero, each A nrows x ncols,
+    on integer rows over the lcm of the denominators of the c/D_A."""
+    terms = [(c.numerator, c.denominator * a._d, a) for c, a in terms if c]
+    if any((a.nrows, a.ncols) != (nrows, ncols) for _, _, a in terms):
+        raise DimensionMismatch("matrix combination shape mismatch")
+    l = lcm(*(den for _, den, _ in terms))
+    ks = [(num * (l // den), a._rows) for num, den, a in terms]
+    return Matrix._lowest(l, (_int_combine(((k, enumerate(rows[i])) for k, rows in ks), ncols)
+                              for i in range(nrows)))
+
+
+def block_diagonal(a: Matrix, b: Matrix) -> Matrix:
+    """The block-diagonal matrix with blocks a and b."""
+    d, za, zb = lcm(a._d, b._d), (0,) * a.ncols, (0,) * b.ncols
+    return Matrix._lowest(d, [*(tuple(d // a._d * x for x in r) + zb for r in a._rows),
+                              *(za + tuple(d // b._d * x for x in r) for r in b._rows)])
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -266,17 +290,10 @@ def _reduce(rows: Iterable[Sequence[int]]) -> tuple[tuple, tuple[int, ...]]:
     return tuple(map(_normalized, work, pivots)), tuple(pivots)
 
 
-def _fractions(row: Sequence[int], c: int) -> Vector:
-    """The integer row divided by its entry c."""
-    p = row[c]
-    # zeros and entries equal to the pivot are common: share ZERO and ONE
-    return tuple(ZERO if not x else ONE if x == p else Fraction(x, p) for x in row)
-
-
 def rref(rows: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
     """Reduced row-echelon form over Q; returns (nonzero rows, pivot columns)."""
     red, pivots = _reduce(filter(None, map(_primitive_ints, rows)))
-    return list(map(_fractions, red, pivots)), list(pivots)
+    return [_over(r, r[p]) for r, p in zip(red, pivots)], list(pivots)
 
 
 def _null_space(rows: Iterable[Sequence[int]], n: int) -> tuple[tuple, tuple[int, ...]]:
@@ -340,13 +357,12 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        rows = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(ambient))
-        return cls(ambient, rows, tuple(range(ambient)))
+        return cls(ambient, Matrix.identity(ambient)._rows, tuple(range(ambient)))
 
     @property
     def basis(self) -> tuple[Vector, ...]:
         if self._basis is None:
-            self._basis = tuple(map(_fractions, self._rows, self.pivots))
+            self._basis = tuple(_over(r, r[p]) for r, p in zip(self._rows, self.pivots))
         return self._basis
 
     @property
@@ -658,8 +674,7 @@ def is_invariant(ops: Iterable[Matrix], space: Subspace) -> bool:
 
 def restrict_operator(m: Matrix, s: Subspace) -> Matrix:
     """Matrix of M in the canonical basis of an M-invariant subspace."""
-    l, rows = _restricted(_images(m, s), s)
-    return Matrix([[Fraction(x, l) for x in row] for row in rows])
+    return Matrix._lowest(*_restricted(_images(m, s), s))
 
 
 def _restricted(images: tuple, s: Subspace) -> tuple[int, list[list[int]]]:

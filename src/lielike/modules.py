@@ -36,9 +36,10 @@ from .linalg import (
     _common_denominator,
     _scaled_ints,
     _sparse,
-    combine,
+    block_diagonal,
     inverse,
     is_invariant,
+    linear_combination,
 )
 
 OperatorFamily = tuple[tuple[Matrix, ...], ...]  # [k][i]
@@ -78,9 +79,7 @@ class OrdinaryModule:
 
 
 def _linear_combination(ops: Sequence[Matrix], z: Vector, m: int) -> Matrix:
-    terms = [(zi, op.rows) for zi, op in zip(z, ops, strict=True) if zi]
-    return Matrix([combine(((zi, rows[r]) for zi, rows in terms), m)
-                   for r in range(m)])
+    return linear_combination(zip(z, ops, strict=True), m, m)
 
 
 @dataclass(frozen=True)
@@ -329,10 +328,9 @@ def adjoint(L: LieLikeAlgebra) -> OrdinaryModule:
         fk, gk = [], []
         for i in range(n):
             # a -> -<a, e_i>_k has columns -c[k][j][i]
-            fk.append(Matrix.from_columns(
-                [tuple(-x for x in L.c[k][j][i]) for j in range(n)], n))
+            fk.append(Matrix(zip(*(tuple(-x for x in L.c[k][j][i]) for j in range(n)))))
             # a -> <e_i, a>_k has columns c[k][i][j]
-            gk.append(Matrix.from_columns(list(L.c[k][i]), n))
+            gk.append(Matrix(zip(*L.c[k][i])))
         F.append(tuple(fk))
         G.append(tuple(gk))
     return OrdinaryModule(L, n, tuple(F), tuple(G))
@@ -393,19 +391,6 @@ def direct_sum(M1: OrdinaryModule, M2: OrdinaryModule) -> OrdinaryModule:
     """Block-diagonal sum of two modules over the same algebra."""
     if M1.algebra != M2.algebra:
         raise DimensionMismatch("direct sum needs the same underlying algebra")
-    m1, m2 = M1.vdim, M2.vdim
-
-    def block(a: Matrix, b: Matrix) -> Matrix:
-        rows = [list(r) + [0] * m2 for r in a.rows]
-        rows += [[0] * m1 + list(r) for r in b.rows]
-        return Matrix(rows)
-
-    F = tuple(
-        tuple(block(x, y) for x, y in zip(f1, f2))
-        for f1, f2 in zip(M1.F, M2.F)
-    )
-    G = tuple(
-        tuple(block(x, y) for x, y in zip(g1, g2))
-        for g1, g2 in zip(M1.G, M2.G)
-    )
-    return OrdinaryModule(M1.algebra, m1 + m2, F, G)
+    F, G = (tuple(tuple(map(block_diagonal, a, b)) for a, b in zip(fam1, fam2))
+            for fam1, fam2 in ((M1.F, M2.F), (M1.G, M2.G)))
+    return OrdinaryModule(M1.algebra, M1.vdim + M2.vdim, F, G)

@@ -162,8 +162,46 @@ def scalar_matrix(n: int, c) -> Matrix:
     return Matrix([[F(c) if i == j else F(0) for j in range(n)] for i in range(n)])
 
 
+# Textbook matrix arithmetic on rows of Fractions, for the integer form the
+# library keeps.
+
+def product_rows(a, b) -> tuple:
+    """The rows of AB."""
+    return tuple(tuple(sum((x * y for x, y in zip(r, col)), F(0)) for col in zip(*b))
+                 for r in a)
+
+
+def combination_rows(terms, n: int) -> tuple:
+    """The rows of sum c*A over (c, rows of A) pairs of n x n matrices."""
+    acc = [[F(0)] * n for _ in range(n)]
+    for c, rows in terms:
+        for out, r in zip(acc, rows):
+            for j, x in enumerate(r):
+                out[j] += c * x
+    return tuple(map(tuple, acc))
+
+
+def restriction_rows(a, basis, pivots) -> tuple:
+    """The rows of A on span(basis), for an A-invariant span of reduced
+    rows: each image of a basis row, read at the pivots."""
+    images = [tuple(sum((x * y for x, y in zip(r, b)), F(0)) for r in a) for b in basis]
+    return tuple(tuple(y[p] for y in images) for p in pivots)
+
+
+def inverse_rows(a) -> tuple | None:
+    """The rows of A^-1 by Gauss-Jordan on (A | I); None if A is singular."""
+    n = len(a)
+    aug = [tuple(r) + tuple(F(int(i == j)) for j in range(n)) for i, r in enumerate(a)]
+    rows, pivots = reference_rref(aug)
+    return tuple(r[n:] for r in rows) if pivots == list(range(n)) else None
+
+
 # Textbook subspace operations over Fraction rows.  Each subspace is a pair
 # (basis rows, pivots) from reference_rref; every result is re-spanned.
+
+def vadd(a, b) -> tuple:
+    return tuple(x + y for x, y in zip(a, b, strict=True))
+
 
 def apply(m: Matrix, v) -> tuple:
     return tuple(sum((x * y for x, y in zip(row, v)), F(0)) for row in m.rows)

@@ -18,7 +18,8 @@ from lielike import (
     split_codim1,
 )
 from lielike.algebra import AlgebraViolation
-from lielike.linalg import is_zero_vec, vadd, vec
+from lielike.linalg import is_zero_vec, vec
+from reference_linalg import vadd
 from strategies import AFF1, SL2, bundle, perturbed_modules, shifted_algebra
 
 F = Fraction

@@ -406,14 +406,18 @@ class TestScalarMemo:
     def test_entries_equal_fraction_of_their_string(self, strings):
         m = round((len(strings) // 2) ** 0.5)
         rows = [strings[r * m:(r + 1) * m] for r in range(2 * m)]
-        obj = {"algebra": {"dim": 1, "s": 1},
+        # the strings also fill one constant vector, which keeps the parsed
+        # Fractions themselves
+        obj = {"algebra": {"dim": len(strings), "s": 1, "c": [[[strings]]]},
                "module": {"vdim": m, "F": [[rows[:m]]], "G": [[rows[m:]]]}}
-        _, M, _ = serialize.instance_from_json(obj)
+        L, M, _ = serialize.instance_from_json(obj)
         entries = [x for op in (M.F[0][0], M.G[0][0]) for row in op.rows for x in row]
-        assert entries == [F(s) for s in strings]
-        assert all(type(x) is F for x in entries)
+        constants = L.c[0][0][0]
+        for values in (entries, constants):
+            assert list(values) == [F(s) for s in strings]
+            assert all(type(x) is F for x in values)
         shared = {}
-        for s, x in zip(strings, entries):
+        for s, x in zip(strings, constants):
             assert shared.setdefault(s, x) is x  # equal strings, one Fraction
 
     def test_repeated_malformed_scalar_still_raises(self):
@@ -425,10 +429,11 @@ class TestScalarMemo:
 
     def test_memo_is_per_object(self, leib2):
         obj = instance_to_json(leib2, adjoint(leib2))
-        _, M1, _ = serialize.instance_from_json(obj)
-        _, M2, _ = serialize.instance_from_json(obj)
-        assert M1 == M2
-        assert M1.F[0][1].rows[0][0] is not M2.F[0][1].rows[0][0]
+        (L1, M1, _), (L2, M2, _) = (serialize.instance_from_json(obj) for _ in "12")
+        assert L1 == L2 and M1 == M2
+        constants = [(w1, w2) for t1, t2 in zip(L1.c[0], L2.c[0]) for w1, w2 in zip(t1, t2)]
+        pairs = [(x, y) for w1, w2 in constants for x, y in zip(w1, w2) if x]
+        assert pairs and all(x == y and x is not y for x, y in pairs)
 
 
 class TestExponentScalars:

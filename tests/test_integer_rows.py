@@ -1,4 +1,4 @@
-"""Subspaces kept as integer rows.
+"""Subspaces and matrices kept as integer rows.
 
 Every operation is compared with a textbook path over Fraction rows
 (reference_linalg), which re-spans its null vectors and combinations;
@@ -13,23 +13,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lielike import linalg, modules
-from lielike.errors import DimensionMismatch, NonSplitSpectrum, NotInvariant
+from lielike import LieLikeAlgebra, OrdinaryModule, linalg, modules
+from lielike.errors import DimensionMismatch, NonSplitSpectrum, NotInvariant, Singular
 from lielike.linalg import (
     Matrix,
     Subspace,
+    block_diagonal,
     eigenspace,
+    inverse,
     is_common_eigenvector,
     joint_eigenspace,
     kernel,
+    linear_combination,
     rational_eigenvalues,
+    restrict_operator,
 )
 from reference_linalg import (
     apply,
+    combination_rows,
+    inverse_rows,
+    product_rows,
     reference_eigenspace,
     reference_intersect,
     reference_kernel,
     reference_rref,
+    restriction_rows,
 )
 from test_linalg import ENTRY_KINDS, joint_cases, row_lists, row_matrices, small_fracs
 
@@ -184,8 +192,80 @@ class TestEquality:
         assert A._rows == ((1, -2),) and A.basis == ((F(1), F(-2)),)
 
 
+@st.composite
+def square_operands(draw, n_max=5):
+    """n, three n x n row lists, each over its own entry kind of TestRref's
+    (so with mixed denominators), and three coefficients."""
+    n = draw(st.integers(0, n_max))
+
+    def rows():
+        row = st.lists(draw(ENTRY_KINDS), min_size=n, max_size=n).map(tuple)
+        return tuple(draw(st.lists(row, min_size=n, max_size=n)))
+
+    return n, (rows(), rows(), rows()), draw(st.lists(small_fracs, min_size=3, max_size=3))
+
+
+def assert_lowest(m):
+    """m's only state is (D, DM) in lowest terms: D > 0, prime to DM."""
+    d, rows = m._integer()
+    assert type(d) is int and d > 0
+    assert len(rows) == m.nrows and all(len(r) == m.ncols for r in rows)
+    assert all(type(x) is int for r in rows for x in r)
+    assert gcd(d, *(x for r in rows for x in r)) == 1
+
+
 class TestIntegerForm:
-    """Matrix keeps (D, D*M) for its own rows only."""
+    """A Matrix is held as (D, D*M) in lowest terms, whatever built it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(square_operands())
+    def test_every_route_gives_the_canonical_form(self, case):
+        n, (a, b, c), coeffs = case
+        A, B, C = map(Matrix, (a, b, c))
+        I, Z = Matrix.identity(n), Matrix.zeros(n, n)
+        terms = list(zip(coeffs, (A, B, C)))
+        M = OrdinaryModule(LieLikeAlgebra.from_constants(3, 1, {}), n, ((A, B, C),), ((C, B, A),))
+        identity = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+        expected = [
+            (A, a), (A @ B, product_rows(a, b)),
+            (A + B, combination_rows([(1, a), (1, b)], n)),
+            (A - B, combination_rows([(1, a), (-1, b)], n)),
+            (linear_combination(terms, n, n), combination_rows(zip(coeffs, (a, b, c)), n)),
+            (M.f(0, coeffs), combination_rows(zip(coeffs, (a, b, c)), n)),
+            (M.g(0, coeffs), combination_rows(zip(coeffs, (c, b, a)), n)),
+            (I, identity), (Z, ((F(0),) * n,) * n),
+            (block_diagonal(A, B), tuple(r + (F(0),) * n for r in a)
+             + tuple((F(0),) * n + r for r in b)),
+        ]
+        # A maps its image and its kernel into themselves
+        for S in (Subspace.span(n, [A.column(j) for j in range(n)]), kernel(A)):
+            expected.append((restrict_operator(A, S), restriction_rows(a, S.basis, S.pivots)))
+        if (a_inv := inverse_rows(a)) is None:
+            with pytest.raises(Singular):
+                inverse(A)
+        else:
+            expected.append((inverse(A), a_inv))
+        for m, rows in expected:
+            assert_lowest(m)
+            assert m.rows == rows
+        # one matrix by several routes: equal, with one hash
+        routes = [
+            (A + B, B + A, linear_combination([(1, B), (1, A)], n, n)),
+            (A - B, A + linear_combination([(-1, B)], n, n), Matrix(combination_rows(
+                [(1, a), (-1, b)], n))),
+            (A, Matrix(A.rows), A @ I, I @ A, A + Z, restrict_operator(A, Subspace.full(n))),
+            ((A @ B) @ C, A @ (B @ C)),
+            (Z, A - A, Z @ A, linear_combination([], n, n), linear_combination([(0, A)], n, n)),
+            (M.f(0, coeffs), linear_combination(terms, n, n), linear_combination(
+                terms[::-1], n, n)),
+        ]
+        if a_inv is not None:
+            routes.append((I, inverse(A) @ A, A @ inverse(A), inverse(inverse(A)) @ inverse(A)))
+        for same in routes:
+            assert len(set(same)) == 1 and len({hash(m) for m in same}) == 1
+        # and unequal matrices are unequal, D included
+        assert (A == B) == (a == b)
+        assert (linear_combination([(F(1, 2), A)], n, n) == A) == (A == Z)
 
     @staticmethod
     def form(m):

@@ -753,7 +753,6 @@ class TestVec:
         half = F(1, 2)
         M = Matrix([[1, "3/4"], [half, 0]])
         assert all(type(x) is Fraction for r in M.rows for x in r)
-        assert M.rows[1][0] is half
         assert M.rows == ((F(1), F(3, 4)), (F(1, 2), F(0)))
 
     def test_span_entries(self):
