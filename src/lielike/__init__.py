@@ -18,11 +18,9 @@ from .errors import (
     EmptySubspace,
     LieLikeError,
     NonSplitSpectrum,
-    NormalizerPreconditionFailed,
     NotClosed,
     NotInvariant,
     NotSolvable,
-    SetupInvalid,
     Singular,
     TheoremViolation,
 )
@@ -57,12 +55,8 @@ from .solver import (
     SolveResult,
     Weight,
     check_dichotomy,
-    congruence_check,
-    normalizer_invariance_check,
     oracle_solve,
     solve,
-    split_setup,
-    trace_vanishing_check,
     verify_weight,
     weight_space,
 )

@@ -37,14 +37,6 @@ class Singular(LieLikeError):
     """A matrix that must be invertible is singular."""
 
 
-class NormalizerPreconditionFailed(LieLikeError):
-    """The normalizer hypothesis [A, X] being in span(A) does not hold."""
-
-
-class SetupInvalid(LieLikeError):
-    """The preconditions of a lemma check are not satisfied by the inputs."""
-
-
 class TheoremViolation(LieLikeError):
     """A step the theory guarantees has failed.
 

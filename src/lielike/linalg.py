@@ -48,15 +48,6 @@ def unit_vec(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vsub(a: Vector, b: Vector) -> Vector:
-    # operators are sparse: a zero y leaves x as it is
-    return tuple(x - y if y else x for x, y in zip(a, b, strict=True))
-
-
-def vdot(a: Vector, b: Vector) -> Fraction:
-    return sum((x * y for x, y in zip(a, b, strict=True)), ZERO)
-
-
 def is_zero_vec(a: Vector) -> bool:
     return all(x == 0 for x in a)
 
@@ -216,10 +207,6 @@ def block_diagonal(a: Matrix, b: Matrix) -> Matrix:
     d, za, zb = lcm(a._d, b._d), (0,) * a.ncols, (0,) * b.ncols
     return Matrix._lowest(d, [*(tuple(d // a._d * x for x in r) + zb for r in a._rows),
                               *(za + tuple(d // b._d * x for x in r) for r in b._rows)])
-
-
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b - b @ a
 
 
 # ---------------------------------------------------------------------------

@@ -328,7 +328,8 @@ def adjoint(L: LieLikeAlgebra) -> OrdinaryModule:
         fk, gk = [], []
         for i in range(n):
             # a -> -<a, e_i>_k has columns -c[k][j][i]
-            fk.append(Matrix(zip(*(tuple(-x for x in L.c[k][j][i]) for j in range(n)))))
+            fk.append(linear_combination(
+                ((-1, Matrix(zip(*(L.c[k][j][i] for j in range(n))))),), n, n))
             # a -> <e_i, a>_k has columns c[k][i][j]
             gk.append(Matrix(zip(*L.c[k][i])))
         F.append(tuple(fk))

@@ -1,5 +1,5 @@
 """Constructive generalized Lie's theorem for solvable Lie-like algebras,
-with the supporting lemma checks and an independent brute-force oracle.
+with an independent brute-force oracle.
 
 The main entry point `solve` follows the inductive proof along a flag
 x_1, ..., x_n computed once, each A_j = span(x_1..x_j) an ideal of
@@ -23,51 +23,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import (
-    LieLikeAlgebra,
-    _split_codim1,
-    bracket,
-    derived_algebra,
-    is_solvable,
-    restrict_algebra,
-    split_codim1,
-)
+from .algebra import LieLikeAlgebra, _split_codim1, is_solvable
 from .errors import (
     DimensionMismatch,
     NonSplitSpectrum,
-    NormalizerPreconditionFailed,
     NotInvariant,
     NotSolvable,
-    SetupInvalid,
     TheoremViolation,
 )
 from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    commutator,
     common_eigenspace,
     eigenspace,
     inverse,
     is_common_eigenvector,
-    is_invariant,
     is_zero_vec,
     joint_eigenspace,
     joint_eigenvector,
     rational_eigenvalues,
     unit_vec,
-    vdot,
-    vec,
-    vsub,
     zero_vec,
 )
-from .modules import (
-    OrdinaryModule,
-    Report,
-    _annihilator_pairs,
-    plus_annihilator,
-    restrict_module,
-)
+from .modules import OrdinaryModule, _annihilator_pairs
 
 Grid = tuple[Vector, ...]  # s rows of functional values on a basis
 
@@ -254,165 +233,13 @@ def _annihilator_branch(Fx, Gx, meet, phi, psi):
 def _case1_witness(U: Subspace, Fx, Gx) -> Vector | None:
     """(f_h(x) - g_h(x))w for the first basis vector w of U, then the
     smallest h, where it is nonzero; None when f and g agree on U."""
+    diffs = [f - g for f, g in zip(Fx, Gx)]
     for wvec in U.basis:
-        for f, g in zip(Fx, Gx):
-            w_tilde = vsub(f.apply(wvec), g.apply(wvec))
+        for d in diffs:
+            w_tilde = d.apply(wvec)
             if not is_zero_vec(w_tilde):
                 return w_tilde
     return None
-
-
-# ---------------------------------------------------------------------------
-# lemma checks
-# ---------------------------------------------------------------------------
-
-def normalizer_invariance_check(
-    ops_A: Sequence[Matrix], phi: Sequence, ops_G: Sequence[Matrix]
-) -> bool:
-    """Invariance of the joint phi-eigenspace of ops_A under ops_G.
-
-    Requires [A, X] in span(ops_A) for each X (the normalizer hypothesis);
-    under that hypothesis a False return is a theorem-violation finding.
-    """
-    if len(ops_A) != len(phi):
-        raise DimensionMismatch("one functional value per operator")
-    if not ops_A and not ops_G:
-        return True
-    dim = (ops_A[0] if ops_A else ops_G[0]).nrows
-    flat_span = Subspace.span(
-        dim * dim, [tuple(x for row in op.rows for x in row) for op in ops_A]
-    )
-    for X in ops_G:
-        for A in ops_A:
-            comm = commutator(A, X)
-            flat = tuple(x for row in comm.rows for x in row)
-            if not flat_span.contains(flat):
-                raise NormalizerPreconditionFailed(
-                    "[A, X] does not lie in span(ops_A)"
-                )
-    space = common_eigenspace(zip(ops_A, phi), Subspace.full(dim))
-    return is_invariant(ops_G, space)
-
-
-def _check_split(L: LieLikeAlgebra, A: Subspace, x: Vector) -> None:
-    """Validate L = A + kx with all brackets landing in A."""
-    if A.ambient != L.dim or len(x) != L.dim:
-        raise SetupInvalid("split has the wrong ambient dimension")
-    if A.dim != L.dim - 1 or A.contains(x):
-        raise SetupInvalid("x must complement a codimension-1 subspace")
-    full = A.add(Subspace.span(L.dim, [x]))
-    if full.dim != L.dim:
-        raise SetupInvalid("A + kx must be all of L")
-    # A.basis + [x] is a basis of L, so its brackets span D^2 L
-    if not all(A.contains(b) for b in derived_algebra(L).basis):
-        raise SetupInvalid("brackets must land in the ideal A")
-
-
-def congruence_check(
-    L: LieLikeAlgebra,
-    A: Subspace,
-    x: Vector,
-    M: OrdinaryModule,
-    u0: Vector,
-    w: Weight,
-    h: int,
-    depth: int,
-) -> Report:
-    """Congruences for the iterates u_m = g_h(x)^m(u0).
-
-    Verifies f_k(a)(u_m) = phi_k(a) u_m and g_k(a)(u_m) = psi_k(a) u_m
-    modulo the annihilator plus span{u_0..u_{m-1}}, and
-    f_k(x)(u_m) = u_{m+1} modulo the annihilator plus span{u_0..u_m}.
-    """
-    if depth < 1:
-        raise SetupInvalid("depth must be at least 1")
-    _check_split(L, A, x)
-    FA = [[M.f(k, a) for a in A.basis] for k in range(L.s)]
-    GA = [[M.g(k, a) for a in A.basis] for k in range(L.s)]
-    if not is_common_eigenvector(_weight_pairs(FA, GA, w, 0), u0):
-        raise SetupInvalid("u0 is not a weight vector for A")
-    ann = plus_annihilator(M)
-    gh = M.g(h, x)
-    iterates = [u0]
-    for _ in range(depth + 1):
-        iterates.append(gh.apply(iterates[-1]))
-    failures = []
-    for m in range(depth + 1):
-        um = iterates[m]
-        mod_prev = ann.add(Subspace.span(M.vdim, iterates[:m]))
-        mod_cur = ann.add(Subspace.span(M.vdim, iterates[: m + 1]))
-        for k in range(L.s):
-            for p in range(A.dim):
-                rf = vec(t - w.phi[k][p] * u for t, u in zip(FA[k][p].apply(um), um))
-                if not mod_prev.contains(rf):
-                    failures.append(f"f-congruence fails at (m={m}, k={k}, a={p})")
-                rg = vec(t - w.psi[k][p] * u for t, u in zip(GA[k][p].apply(um), um))
-                if not mod_prev.contains(rg):
-                    failures.append(f"g-congruence fails at (m={m}, k={k}, a={p})")
-            rx = vec(
-                t - u for t, u in zip(M.f(k, x).apply(um), iterates[m + 1])
-            )
-            if not mod_cur.contains(rx):
-                failures.append(f"x-congruence fails at (m={m}, k={k})")
-        if failures:
-            break  # report the first failing level only
-    return Report(not failures, tuple(failures))
-
-
-def trace_vanishing_check(
-    L: LieLikeAlgebra,
-    A: Subspace,
-    x: Vector,
-    M: OrdinaryModule,
-    w: Weight,
-) -> Report:
-    """psi'_h(<x, a>_k) = 0 for basis a of A, and psi'_h(<x, x>_k) = 0.
-
-    The weight must come from a genuine solve over A (some nonzero vector
-    realizes the functionals); a failure is a theorem-violation finding.
-    """
-    _check_split(L, A, x)
-    FA = [[M.f(k, a) for a in A.basis] for k in range(L.s)]
-    GA = [[M.g(k, a) for a in A.basis] for k in range(L.s)]
-    if weight_space(M.vdim, FA, GA, w).dim == 0:
-        raise SetupInvalid("no nonzero vector realizes the given functionals")
-
-    def psi_at(h: int, z: Vector) -> Fraction:
-        coords = A.coords(z)
-        if coords is None:
-            raise SetupInvalid("bracket image left the ideal A")
-        return vdot(coords, w.psi[h])
-
-    failures = []
-    for h in range(L.s):
-        for k in range(L.s):
-            for p, a in enumerate(A.basis):
-                if psi_at(h, bracket(L, x, a, k)) != 0:
-                    failures.append(f"psi_{h}(<x, a_{p}>_{k}) != 0")
-            if psi_at(h, bracket(L, x, x, k)) != 0:
-                failures.append(f"psi_{h}(<x, x>_{k}) != 0")
-    return Report(not failures, tuple(failures))
-
-
-@dataclass(frozen=True)
-class SplitSetup:
-    """Top-level split of a solve, packaged for the lemma checks."""
-
-    A: Subspace
-    x: Vector
-    subalgebra: LieLikeAlgebra
-    submodule: OrdinaryModule
-    u0: Vector
-    weight: Weight
-
-
-def split_setup(L: LieLikeAlgebra, M: OrdinaryModule) -> SplitSetup:
-    """Split off the top-level ideal and solve the restricted problem."""
-    A, x = split_codim1(L)
-    LA = restrict_algebra(L, A)
-    MA = restrict_module(M, A, LA)
-    res = solve(LA, MA)
-    return SplitSetup(A, x, LA, MA, res.v, res.weight)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ converts the functionals to its own standard basis by inverting the basis
 (A's basis, x).  `solve` computes the same flag once and runs the levels in
 one loop; the two must agree on every instance, result and error alike.
 
-The split, the flag and the oracle have references here too: the greedy
-split extends D^2 L one standard vector at a time, the two-elimination
-split runs both of its eliminations over every bracket, the flag
-restricts the algebra at every level and maps each x back through the
-level's basis, and the oracle intersects each front with the operator's
-eigenspaces on the whole space.
+The split, the flag, the oracle and the case-1 witness have references
+here too: the greedy split extends D^2 L one standard vector at a time,
+the two-elimination split runs both of its eliminations over every
+bracket, the flag restricts the algebra at every level and maps each x
+back through the level's basis, the oracle intersects each front with the
+operator's eigenspaces on the whole space, and the witness applies f_h(x)
+and g_h(x) apart before subtracting.
 """
 
 from fractions import Fraction
@@ -135,6 +136,18 @@ def _case1_witness(U, Fx, Gx):
         for h, (f, g) in enumerate(zip(Fx, Gx)):
             if f.apply(wvec) != g.apply(wvec):
                 return h, wvec
+    return None
+
+
+def applied_case1_witness(U, Fx, Gx):
+    """`solve`'s case-1 witness with f_h(x)w and g_h(x)w applied apart and
+    subtracted: the first basis vector w of U, then the smallest h, where
+    the difference is nonzero; None when f and g agree on U."""
+    for wvec in U.basis:
+        for f, g in zip(Fx, Gx):
+            w_tilde = tuple(a - b for a, b in zip(f.apply(wvec), g.apply(wvec), strict=True))
+            if not is_zero_vec(w_tilde):
+                return w_tilde
     return None
 
 

@@ -19,19 +19,21 @@ from lielike import (
     check_algebra,
     check_derived_identities,
     check_module,
-    congruence_check,
     generate,
     is_solvable,
     is_submodule,
-    normalizer_invariance_check,
     oracle_solve,
     plus_annihilator,
     solve,
-    split_setup,
-    trace_vanishing_check,
     verify_weight,
 )
 from lielike.serialize import dumps, instance_to_json, result_to_json
+from lemma_checks import (
+    congruence_check,
+    normalizer_invariance_check,
+    split_setup,
+    trace_vanishing_check,
+)
 
 F = Fraction
 

@@ -55,6 +55,31 @@ def perturbed(M, which, k, i, r, c, delta=1):
     return type(M)(M.algebra, M.vdim, M.F, fam)
 
 
+# mostly zero, so the plus annihilator's difference columns often span a
+# proper subspace
+entries = st.one_of(
+    st.just(F(0)), st.just(F(0)), st.fractions(-3, 3, max_denominator=4)
+)
+
+
+def fraction_adjoint(L):
+    """`adjoint` from negated Fraction copies of the constant columns."""
+    n = L.dim
+    F_ = tuple(tuple(Matrix(zip(*(tuple(-x for x in L.c[k][j][i]) for j in range(n))))
+                     for i in range(n)) for k in range(L.s))
+    G = tuple(tuple(Matrix(zip(*L.c[k][i])) for i in range(n)) for k in range(L.s))
+    return OrdinaryModule(L, n, F_, G)
+
+
+@st.composite
+def any_constants(draw):
+    """An algebra with arbitrary rational structure constants, s <= 3."""
+    n, s = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    vector = st.lists(entries, min_size=n, max_size=n)
+    return LieLikeAlgebra.from_constants(n, s, {
+        (k, i, j): draw(vector) for k in range(s) for i in range(n) for j in range(n)})
+
+
 class TestAdjoint:
     def test_abelian_adjoint_is_zero(self):
         M = adjoint(LieLikeAlgebra.from_constants(2, 1, {}))
@@ -74,6 +99,11 @@ class TestAdjoint:
         M = adjoint(nt3)
         e3 = vec([F(0), F(0), F(1)])
         assert M.G[1][2].apply(e3) == vec([F(0), F(1), F(0)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(valid_instances().map(lambda inst: inst[0]), any_constants()))
+    def test_matches_fraction_build(self, L):
+        assert adjoint(L) == fraction_adjoint(L)
 
 
 class TestCheckModule:
@@ -307,11 +337,6 @@ def s_squared_annihilator(M):
     ]
     return Subspace.span(M.vdim, gens)
 
-
-# mostly zero, so the difference columns often span a proper subspace
-entries = st.one_of(
-    st.just(F(0)), st.just(F(0)), st.fractions(-3, 3, max_denominator=4)
-)
 
 
 @st.composite

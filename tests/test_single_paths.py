@@ -16,12 +16,12 @@ from lielike import (
     generate,
     kernel,
     restrict_module,
-    split_setup,
     weight_space,
 )
 from lielike.algebra import bracket
 from lielike.generate import random_unimodular, transform_instance
 from lielike.linalg import inverse, zero_vec
+from lemma_checks import split_setup
 from reference_linalg import scalar_matrix
 
 specs = st.builds(

@@ -14,10 +14,8 @@ from lielike import (
     LieLikeError,
     Matrix,
     NonSplitSpectrum,
-    NormalizerPreconditionFailed,
     NotSolvable,
     OrdinaryModule,
-    SetupInvalid,
     Subspace,
     TheoremViolation,
     Weight,
@@ -25,10 +23,8 @@ from lielike import (
     check_algebra,
     check_dichotomy,
     check_module,
-    congruence_check,
     generate,
     is_solvable,
-    normalizer_invariance_check,
     oracle_solve,
     plus_annihilator,
     restrict_algebra,
@@ -36,16 +32,24 @@ from lielike import (
     run_verify,
     solve,
     split_codim1,
-    split_setup,
-    trace_vanishing_check,
     verify_weight,
     weight_space,
 )
-from lielike import CONSTRUCTIONS, linalg, solver, verify
+from lielike import CONSTRUCTIONS, algebra, linalg, modules, solver, verify
 from lielike.generate import random_unimodular, transform_instance
 from lielike.linalg import common_eigenspace, vec
 from lielike.algebra import _split_codim1
+import lemma_checks
+from lemma_checks import (
+    NormalizerPreconditionFailed,
+    SetupInvalid,
+    congruence_check,
+    normalizer_invariance_check,
+    split_setup,
+    trace_vanishing_check,
+)
 from reference_solver import (
+    applied_case1_witness,
     chain_flag,
     chain_levels,
     greedy_split,
@@ -299,6 +303,41 @@ class TestWeightSpace:
             2, [[1, 0]])
 
 
+# mostly zero, so f_h(x) - g_h(x) often vanishes on part of U
+small_ints = st.sampled_from([0, 0, 0, 1, -1, 2])
+
+
+@st.composite
+def witness_inputs(draw):
+    """U in Q^m and integer f_h(x), g_h(x) = f_h(x) + D_h, D_h mostly zero."""
+    m, s = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rows = st.lists(small_ints, min_size=m, max_size=m)
+    square = st.lists(st.lists(st.integers(-5, 5), min_size=m, max_size=m),
+                      min_size=m, max_size=m)
+    Fx = [Matrix(draw(square)) for _ in range(s)]
+    Gx = [f + Matrix(draw(st.lists(rows, min_size=m, max_size=m))) for f in Fx]
+    U = span(m, draw(st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m),
+                              min_size=1, max_size=m)))
+    return U, Fx, Gx
+
+
+class TestCase1Witness:
+    @settings(max_examples=200, deadline=None)
+    @given(witness_inputs())
+    def test_matches_the_applied_loop(self, inputs):
+        assert solver._case1_witness(*inputs) == applied_case1_witness(*inputs)
+
+    def test_first_basis_vector_then_smallest_h(self):
+        U = span(2, [[1, 0], [0, 1]])
+        zero = Matrix.zeros(2, 2)
+        e2_to_e1 = Matrix([[0, 1], [0, 0]])
+        e1_to_e2 = Matrix([[0, 0], [1, 0]])
+        assert solver._case1_witness(U, [zero, e2_to_e1], [zero, zero]) == fvec([1, 0])
+        assert solver._case1_witness(
+            U, [e2_to_e1, e1_to_e2], [zero, zero]) == fvec([0, 1])
+        assert solver._case1_witness(U, [e2_to_e1], [e2_to_e1]) is None
+
+
 class TestNormalizerInvariance:
     def test_zero_operator(self):
         X = Matrix([[F(0), F(1)], [F(0), F(0)]])
@@ -394,8 +433,8 @@ class TestTraceVanishing:
         # the weight space comes from M's own f and g on A's basis
         M = adjoint(aff2)
         setup = split_setup(aff2, M)
-        monkeypatch.setattr(solver, "restrict_algebra", None)
-        monkeypatch.setattr(solver, "restrict_module", None)
+        monkeypatch.setattr(lemma_checks, "restrict_algebra", None)
+        monkeypatch.setattr(lemma_checks, "restrict_module", None)
         assert trace_vanishing_check(aff2, setup.A, setup.x, M, setup.weight).ok
         wrong = Weight(((F(1),),), setup.weight.psi)
         with pytest.raises(SetupInvalid, match="no nonzero vector realizes"):
@@ -446,16 +485,21 @@ class TestAnnihilatorOnce:
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = Counter()
-        for module, name in ((verify, "plus_annihilator"),
-                             (solver, "plus_annihilator"),
-                             (solver, "restrict_module"),
-                             (solver, "_split_codim1"),
-                             (solver, "inverse")):
-            def counted(*args, _name=name, _fn=getattr(module, name)):
+        # solve makes no annihilator of M and no restricted copy: the
+        # library's own functions are counted, and so are any names that
+        # solver binds to them
+        for home, name, targets in ((verify, "plus_annihilator", ()),
+                                    (modules, "plus_annihilator", (solver,)),
+                                    (modules, "restrict_module", (solver,)),
+                                    (algebra, "restrict_algebra", (solver,)),
+                                    (solver, "_split_codim1", ()),
+                                    (solver, "inverse", ())):
+            def counted(*args, _name=name, _fn=getattr(home, name)):
                 counts[_name] += 1
                 return _fn(*args)
 
-            monkeypatch.setattr(module, name, counted)
+            for module in (home, *targets):
+                monkeypatch.setattr(module, name, counted, raising=False)
         return counts
 
     @pytest.mark.parametrize("name", ["leib2", "nt3", "aff2"])

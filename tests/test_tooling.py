@@ -3,6 +3,9 @@
 Every function, class and method defined in `src/lielike` must be exported
 from `lielike` or referenced by name from `src/lielike` or `benchmarks/`
 (outside its own body): code that only the tests use belongs in the tests.
+For the same reason every name exported from `lielike` needs a caller
+outside the tests: another library module, a demo, or the benchmark's
+tracer.
 Every name a library module binds with `from ... import` must be used in
 that module.  Integer rows stay inside `linalg`: outside it, only the axiom
 checks' product table reads an operator's integer form.  The command layer
@@ -11,6 +14,7 @@ reads every nonzero exit code from `verify`'s names and its EXIT_CODES table.
 
 import ast
 import importlib
+import inspect
 import sys
 from collections import Counter
 from pathlib import Path
@@ -24,6 +28,7 @@ import tracing  # noqa: E402
 
 LIBRARY = sorted((ROOT / "src" / "lielike").glob("*.py"))
 CALLERS = LIBRARY + sorted((ROOT / "benchmarks").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -54,13 +59,19 @@ def references(tree, enclosing=()):
         yield from references(node, inner)
 
 
-def unreferenced(library, callers, exported):
-    """Qualified names of library definitions that nothing outside their
-    own body refers to and that are not exported."""
+def referrers(callers):
+    """name -> the enclosing definitions of each of its references."""
     refs: dict[str, list[tuple]] = {}
     for tree in callers:
         for name, enclosing in references(tree):
             refs.setdefault(name, []).append(enclosing)
+    return refs
+
+
+def unreferenced(library, callers, exported):
+    """Qualified names of library definitions that nothing outside their
+    own body refers to and that are not exported."""
+    refs = referrers(callers)
     dead = []
     for module, tree in library:
         for qualname, node in definitions(tree):
@@ -72,6 +83,16 @@ def unreferenced(library, callers, exported):
             if not any(node not in enclosing for enclosing in refs.get(name, ())):
                 dead.append(f"{module}:{qualname}")
     return dead
+
+
+def uncalled_exports(library, callers, exported):
+    """The exported names that no caller refers to outside the name's own
+    top-level definition in a library module."""
+    refs = referrers(callers)
+    defs = {node.name: node for _, tree in library
+            for qualname, node in definitions(tree) if "." not in qualname}
+    return sorted(name for name in exported
+                  if not any(defs.get(name) not in enclosing for enclosing in refs.get(name, ())))
 
 
 def unused_imports(module, tree):
@@ -90,6 +111,20 @@ def test_every_definition_is_exported_or_used():
     library = [(p.name, parse(p)) for p in LIBRARY]
     callers = [parse(p) for p in CALLERS]
     assert unreferenced(library, callers, set(lielike.__all__)) == []
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    """A name in `lielike.__all__` (submodules aside) is called from another
+    library module than its own, from a demo, or is a target of the
+    benchmark's tracer; one that only the tests call belongs in the tests."""
+    library = [(p.name, parse(p)) for p in LIBRARY if p.name != "__init__.py"]
+    callers = [tree for _, tree in library] + [parse(p) for p in DEMOS]
+    traced = [vars(importlib.import_module(f"lielike.{module}")).get(attr.split(".")[0])
+              for module, attr, _ in tracing.SPANNED + tracing.COUNTED]
+    exported = {name for name in lielike.__all__
+                if not inspect.ismodule(obj := getattr(lielike, name))
+                and not any(obj is target for target in traced)}
+    assert uncalled_exports(library, callers, exported) == []
 
 
 def test_no_unused_imports_in_library_modules():
@@ -252,6 +287,12 @@ class TestGuardItself:
         src = "class A:\n    def m(self): pass\n"
         assert self.scan(src, exported={"A"}) == ["m.py:A.m"]
         assert self.scan(src, "A().m()\n", exported={"A"}) == []
+
+    def test_flags_export_only_its_own_body_calls(self):
+        lib = ast.parse("def loop(n):\n    return loop(n - 1)\ndef user(): return loop(1)\n")
+        assert uncalled_exports([("m.py", lib)], [lib], {"loop", "user"}) == ["user"]
+        assert uncalled_exports([("m.py", lib)], [lib, ast.parse("user()\n")],
+                                {"loop", "user"}) == []
 
     def test_flags_unused_from_import(self):
         tree = ast.parse(
