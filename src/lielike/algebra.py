@@ -8,6 +8,9 @@ identities are the Jacobi-like identity
 
 and the index-swap identity <<x,y>_k, z>_h = <<x,y>_h, z>_k.
 
+The constants are also one `Matrix` per algebra, `constants`, with row
+(k*n + i)*n + j the vector c[k][i][j]: every bracket and bracket span reads it.
+
 Codimension-1 splits run on subalgebras A held as subspaces of L: each
 spans A's brackets once, as D^2 A, and an elimination on the at most
 dim A column-reversed coordinate rows of D^2 A's basis decides how A's
@@ -17,10 +20,12 @@ basis extends it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatch, NotClosed, NotSolvable
-from .linalg import Subspace, Vector, combine, unit_vec, vec, zero_vec
+from .linalg import (
+    ZERO, Matrix, Subspace, Vector, bilinear, bilinear_span, unit_vec, vec, zero_vec)
 
 Tensor = tuple[tuple[Vector, ...], ...]  # [i][j] -> coordinate vector
 
@@ -61,6 +66,12 @@ class LieLikeAlgebra:
     def basis(self) -> list[Vector]:
         return [unit_vec(self.dim, i) for i in range(self.dim)]
 
+    @cached_property
+    def constants(self) -> Matrix:
+        """The structure constants as one matrix, built on first read: row
+        (k*dim + i)*dim + j is c[k][i][j]."""
+        return Matrix(v for tk in self.c for ti in tk for v in ti)
+
 
 @dataclass(frozen=True)
 class AlgebraViolation:
@@ -77,13 +88,7 @@ def bracket(L: LieLikeAlgebra, x: Vector, y: Vector, k: int) -> Vector:
         raise DimensionMismatch("bracket index out of range")
     if len(x) != L.dim or len(y) != L.dim:
         raise DimensionMismatch("bracket operands have wrong length")
-    ck = L.c[k]
-    terms = (
-        (xi * yj, ck[i][j])
-        for i, xi in enumerate(x) if xi
-        for j, yj in enumerate(y) if yj
-    )
-    return combine(terms, L.dim)
+    return bilinear(L.constants, k, x, y)
 
 
 def is_trivial(L: LieLikeAlgebra) -> tuple[bool, tuple[int, tuple] | None]:
@@ -93,41 +98,28 @@ def is_trivial(L: LieLikeAlgebra) -> tuple[bool, tuple[int, tuple] | None]:
     when trivial, (False, None) otherwise.  An algebra with s = 1 or with
     all tensors zero is always trivial.
     """
-    flats = [
-        [x for ti in tk for v in ti for x in v] for tk in L.c
-    ]
-    base = next((k for k, f in enumerate(flats) if any(x != 0 for x in f)), None)
-    if base is None:
-        return True, (0, tuple(vec([0] * L.s))) if L.s else (0, ())
-    ref = flats[base]
-    anchor = next(i for i, x in enumerate(ref) if x != 0)
-    scalars = []
-    for f in flats:
-        t = f[anchor] / ref[anchor]
-        if any(x != t * y for x, y in zip(f, ref)):
-            return False, None
-        scalars.append(t)
-    return True, (base, tuple(scalars))
+    flats = [[x for ti in tk for v in ti for x in v] for tk in L.c]
+    line = Subspace.span(L.dim ** 3, flats)
+    if line.dim > 1:
+        return False, None
+    # each flat is a multiple of the line's basis row, read at its pivot p
+    p = line.pivots[0] if line.dim else None
+    base = next((k for k, f in enumerate(flats) if p is not None and f[p]), 0)
+    return True, (base, tuple(ZERO if p is None else f[p] / flats[base][p] for f in flats))
 
 
 def is_ideal(L: LieLikeAlgebra, I: Subspace) -> bool:
     """True iff <I, L>_k and <L, I>_k land in I for every k."""
     if I.ambient != L.dim:
         raise DimensionMismatch("subspace ambient mismatch")
-    for b in I.basis:
-        for j in range(L.dim):
-            ej = unit_vec(L.dim, j)
-            for k in range(L.s):
-                if not I.contains(bracket(L, b, ej, k)):
-                    return False
-                if not I.contains(bracket(L, ej, b, k)):
-                    return False
-    return True
+    full = Subspace.full(L.dim)
+    return all(I.add(bilinear_span(L.constants, a, b)) == I for a, b in ((I, full), (full, I)))
 
 
 def derived_algebra(L: LieLikeAlgebra) -> Subspace:
     """D^2 L = sum_k <L, L>_k: the span of every structure-constant vector."""
-    return Subspace.span(L.dim, [v for tk in L.c for row in tk for v in row])
+    full = Subspace.full(L.dim)
+    return bilinear_span(L.constants, full, full)
 
 
 def derived_series(L: LieLikeAlgebra) -> list[Subspace]:
@@ -136,9 +128,7 @@ def derived_series(L: LieLikeAlgebra) -> list[Subspace]:
     nxt = derived_algebra(L)
     while nxt != series[-1]:
         series.append(nxt)
-        gens = [bracket(L, u, v, k) for u in nxt.basis for v in nxt.basis
-                for k in range(L.s)]
-        nxt = Subspace.span(L.dim, gens)
+        nxt = bilinear_span(L.constants, nxt, nxt)
     return series
 
 
@@ -165,8 +155,7 @@ def _split_codim1(L: LieLikeAlgebra, A: Subspace) -> tuple[Subspace, Vector]:
     for the standard one: basis vector i is appended iff no vector of D^2 A
     has its last nonzero coordinate (entries at A's pivots) at i."""
     m, basis = A.dim, A.basis
-    d2a = Subspace.span(
-        L.dim, (bracket(L, a, b, k) for a in basis for b in basis for k in range(L.s)))
+    d2a = bilinear_span(L.constants, A, A)
     # D^2 A lies in A, so its coordinates are its entries at A's pivots
     rev = Subspace.span(m, [[w[p] for p in reversed(A.pivots)] for w in d2a.basis])
     appended = [i for i in range(m) if m - 1 - i not in rev.pivots]
@@ -180,18 +169,8 @@ def restrict_algebra(L: LieLikeAlgebra, A: Subspace) -> LieLikeAlgebra:
     """Structure constants of a bracket-closed subspace in its own basis."""
     if A.ambient != L.dim:
         raise DimensionMismatch("subspace ambient mismatch")
-    m = A.dim
-    c = []
-    for k in range(L.s):
-        tk = []
-        for bi in A.basis:
-            row = []
-            for bj in A.basis:
-                w = bracket(L, bi, bj, k)
-                coords = A.coords(w)
-                if coords is None:
-                    raise NotClosed("subspace is not closed under the brackets")
-                row.append(coords)
-            tk.append(tuple(row))
-        c.append(tuple(tk))
-    return LieLikeAlgebra(m, L.s, tuple(c))
+    coords = [[[A.coords(bracket(L, bi, bj, k)) for bj in A.basis] for bi in A.basis]
+              for k in range(L.s)]
+    if any(w is None for tk in coords for row in tk for w in row):
+        raise NotClosed("subspace is not closed under the brackets")
+    return LieLikeAlgebra(A.dim, L.s, tuple(tuple(map(tuple, tk)) for tk in coords))

@@ -4,7 +4,9 @@ rational eigen-computations, and joint-eigenvector search.
 Vectors are ``fractions.Fraction`` tuples.  Matrices (one denominator over
 integer rows) and subspaces (canonical integer rows) build their Fractions
 when read; only this module and ``modules._ProductTable`` read the integer
-rows.  No floating point appears anywhere.  Values are immutable and
+rows.  An algebra's structure constants are one Matrix, whose rows give the
+bilinear maps that brackets and bracket spans read.  No floating point
+appears anywhere: `vec` refuses floats.  Values are immutable and
 operations are pure functions.
 """
 
@@ -37,7 +39,13 @@ ONE = Fraction(1)
 
 def vec(entries: Iterable) -> Vector:
     # Fraction is immutable, so entries that already are one are shared
-    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
+    return tuple(e if type(e) is Fraction else _exact(e) for e in entries)
+
+
+def _exact(e) -> Fraction:
+    if isinstance(e, float):  # its binary value is not the decimal it was written as
+        raise TypeError(f"float {e!r} is inexact: pass an int, a Fraction or a string")
+    return Fraction(e)
 
 
 def zero_vec(n: int) -> Vector:
@@ -50,21 +58,6 @@ def unit_vec(n: int, i: int) -> Vector:
 
 def is_zero_vec(a: Vector) -> bool:
     return all(x == 0 for x in a)
-
-
-def combine(terms: Iterable[tuple], n: int) -> Vector:
-    """Sum of c*v over the (c, v) pairs, v in Q^n.
-
-    Zero coefficients and zero entries are skipped: the operands here are
-    typically sparse.
-    """
-    acc = [ZERO] * n
-    for c, v in terms:
-        if c:
-            for j, x in enumerate(v):
-                if x:
-                    acc[j] += c * x
-    return tuple(acc)
 
 
 # Matrix, the subspaces and the axiom checks' product table scale rational
@@ -461,6 +454,32 @@ def inverse(m: Matrix) -> Matrix:
     if pivots != list(range(n)):
         raise Singular("matrix is singular")
     return Matrix([row[n:] for row in rows])
+
+
+def _bilinear(t: Matrix, k: int, x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """D times the k-th map of t at the integer vectors (x, y), for t's integer
+    form (D, Dt): s*n^2 rows in Q^n give s bilinear maps on Q^n, and row
+    (k*n + i)*n + j of t is the k-th map at (e_i, e_j)."""
+    n, rows = len(x), t._rows
+    return _int_combine(((xi * yj, enumerate(rows[(k * n + i) * n + j]))
+                         for i, xi in _sparse(x) for j, yj in _sparse(y)), n)
+
+
+def bilinear(t: Matrix, k: int, x: Vector, y: Vector) -> Vector:
+    """The k-th map of t at (x, y), on the integer vectors ex*x and ey*y."""
+    ex, ey = _common_denominator(x), _common_denominator(y)
+    return _over(_bilinear(t, k, _scaled_ints(x, ex), _scaled_ints(y, ey)), t._d * ex * ey)
+
+
+def bilinear_span(t: Matrix, a: Subspace, b: Subspace) -> Subspace:
+    """The span of every map of t at every pair of A's and B's vectors: one
+    elimination over the maps at the pairs of their integer rows."""
+    n = a.ambient
+    if b.ambient != n or t.nrows and t.ncols != n:
+        raise DimensionMismatch("structure constants/subspace ambient mismatch")
+    maps = range(t.nrows // (n * n)) if n else ()
+    return Subspace(n, *_reduce(
+        _bilinear(t, k, x, y) for k in maps for x in a._rows for y in b._rows))
 
 
 # ---------------------------------------------------------------------------

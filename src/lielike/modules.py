@@ -33,8 +33,6 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    _common_denominator,
-    _scaled_ints,
     _sparse,
     block_diagonal,
     inverse,
@@ -104,9 +102,10 @@ class _ProductTable:
 
     Every operator X is held as X' = D*X, D the lcm of all operator
     denominators, and every structure constant w as E*w, E the lcm of
-    theirs.  Each integer matrix of the checks is one int (Kronecker
-    substitution): its entries, row-major, are the balanced base-2^width
-    digits, entry (r, c) at digit r*m + c.  The table forms
+    theirs, as the integer form of `L.constants` holds it.  Each integer
+    matrix of the checks is one int (Kronecker substitution): its entries,
+    row-major, are the balanced base-2^width digits, entry (r, c) at digit
+    r*m + c.  The table forms
 
         products      X'Y' = sum_l (column l of X') * (row l of Y'),
                       entries at most m*a^2,
@@ -130,21 +129,21 @@ class _ProductTable:
 
     def __init__(self, L: LieLikeAlgebra, M: OrdinaryModule | None = None):
         n, s = L.dim, L.s
-        self.e = e = _common_denominator(
-            x for tk in L.c for ti in tk for w in ti for x in w)
+        # row (k*n + i)*n + j of the constants' integer form is E*c[k][i][j]
+        e, rows = L.constants._integer()
+        self.e = e
         w_ids: dict[tuple, int] = {}
-        self.c = tuple(
-            tuple(tuple(w_ids.setdefault(_scaled_ints(w, e), len(w_ids)) for w in ti)
-                  for ti in tk)
-            for tk in L.c)
+        ids = [w_ids.setdefault(w, len(w_ids)) for w in rows]
+        self.c = tuple(tuple(tuple(ids[(k * n + i) * n:(k * n + i + 1) * n]) for i in range(n))
+                       for k in range(s))
         self.w = list(w_ids)  # each distinct E*w, by index
         if M is None:
             self.d, self.m = e, n
-            cw = [[[self.w[x] for x in ti] for ti in tk] for tk in self.c]  # E*c
             fams = (  # integer rows of F'_k(e_i) and G'_k(e_i), by [k][i]
-                [[tuple(zip(*([-x for x in cw[k][j][i]] for j in range(n))))
+                [[tuple(zip(*([-x for x in rows[(k * n + j) * n + i]] for j in range(n))))
                   for i in range(n)] for k in range(s)],
-                [[tuple(zip(*cw[k][i])) for i in range(n)] for k in range(s)])
+                [[tuple(zip(*rows[(k * n + i) * n:(k * n + i + 1) * n])) for i in range(n)]
+                 for k in range(s)])
         else:
             ops = [op for fam in (M.F, M.G) for fk in fam for op in fk]
             self.d = d = lcm(*(op._integer()[0] for op in ops))

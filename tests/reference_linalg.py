@@ -196,6 +196,25 @@ def inverse_rows(a) -> tuple | None:
     return tuple(r[n:] for r in rows) if pivots == list(range(n)) else None
 
 
+def combine(terms, n: int) -> tuple:
+    """Sum of c*v over the (c, v) pairs, v in Q^n, in Fraction arithmetic;
+    zero coefficients and zero entries are skipped."""
+    acc = [F(0)] * n
+    for c, v in terms:
+        if c:
+            for j, x in enumerate(v):
+                if x:
+                    acc[j] += c * x
+    return tuple(acc)
+
+
+def reference_bracket(L, x, y, k: int) -> tuple:
+    """<x, y>_k summed from the Fraction structure constants L.c."""
+    ck = L.c[k]
+    return combine(((xi * yj, ck[i][j]) for i, xi in enumerate(x) if xi
+                    for j, yj in enumerate(y) if yj), L.dim)
+
+
 # Textbook subspace operations over Fraction rows.  Each subspace is a pair
 # (basis rows, pivots) from reference_rref; every result is re-spanned.
 

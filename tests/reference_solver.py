@@ -10,7 +10,7 @@ one loop; the two must agree on every instance, result and error alike.
 The split, the flag, the oracle and the case-1 witness have references
 here too: the greedy split extends D^2 L one standard vector at a time,
 the two-elimination split runs both of its eliminations over every
-bracket, the flag restricts the algebra at every level and maps each x
+bracket, summed from the Fraction constants, the flag restricts the algebra at every level and maps each x
 back through the level's basis, the oracle intersects each front with the
 operator's eigenspaces on the whole space, and the witness applies f_h(x)
 and g_h(x) apart before subtracting.
@@ -28,7 +28,6 @@ from lielike import (
     Subspace,
     TheoremViolation,
     Weight,
-    bracket,
     check_dichotomy,
     derived_algebra,
     eigenspace,
@@ -42,13 +41,14 @@ from lielike import (
     verify_weight,
     weight_space,
 )
-from lielike.linalg import combine, inverse, is_zero_vec, unit_vec, vec, zero_vec
+from lielike.linalg import inverse, is_zero_vec, unit_vec, vec, zero_vec
 from lielike.solver import (
     TAG_ANN_G_NONZERO,
     TAG_ANN_G_ZERO,
     TAG_CASE_1,
     TAG_CASE_2,
 )
+from reference_linalg import combine, reference_bracket
 
 
 def recursive_solve(L, M):
@@ -191,7 +191,8 @@ def two_elimination_split(L, A):
     brackets of A's canonical basis: one on their column-reversed
     coordinates for the appended vectors, one for the ideal."""
     m, basis = A.dim, A.basis
-    brackets = [bracket(L, a, b, k) for a in basis for b in basis for k in range(L.s)]
+    brackets = [reference_bracket(L, a, b, k) for a in basis for b in basis
+                for k in range(L.s)]
     rev = Subspace.span(m, [[w[p] for p in reversed(A.pivots)] for w in brackets])
     appended = [i for i in range(m) if m - 1 - i not in rev.pivots]
     if not appended:

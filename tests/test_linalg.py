@@ -10,7 +10,6 @@ from lielike.linalg import (
     Matrix,
     Subspace,
     charpoly,
-    combine,
     common_eigenspace,
     eigenspace,
     inverse,
@@ -24,6 +23,7 @@ from lielike.linalg import (
     vec,
 )
 from reference_linalg import (
+    combine,
     det,
     poly_eval,
     rank,
