@@ -8,7 +8,7 @@ is located and reported.
 """
 
 from lielike import LieLikeAlgebra, bracket, check_algebra, is_trivial
-from lielike.linalg import vec
+from lielike.linalg import Matrix, vec
 from fractions import Fraction as F
 
 # --- a two-dimensional single-bracket algebra: <e2, e2> = e1 -------------
@@ -20,8 +20,9 @@ print("  <e2, e2>_0 =", bracket(leib2, e2, e2, 0))
 print("  <e1, e2>_0 =", bracket(leib2, e1, e2, 0))
 
 # --- a two-bracket bundle that is secretly one bracket -------------------
-c1 = tuple(tuple(tuple(2 * x for x in v) for v in row) for row in leib2.c[0])
-bundle2 = LieLikeAlgebra(2, 2, (leib2.c[0], c1))
+# the rows of c[1] = 2 c[0] follow those of c[0] in the constants matrix
+c0 = leib2.constants.rows
+bundle2 = LieLikeAlgebra(2, 2, Matrix([*c0, *([2 * x for x in v] for v in c0)]))
 print("\nBundle2 violations:", check_algebra(bundle2))
 ok, witness = is_trivial(bundle2)
 print("Bundle2 is a scaled copy of one bracket:", ok, "scalars:", witness[1])

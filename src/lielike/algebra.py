@@ -1,15 +1,16 @@
 """Lie-like algebras given by structure constants.
 
 An algebra of dimension n carries a family of brackets <.,.>_k for
-k = 0..s-1, stored as tensors c[k][i][j] = <e_i, e_j>_k.  The defining
+k = 0..s-1, given by the constants c[k][i][j] = <e_i, e_j>_k.  The defining
 identities are the Jacobi-like identity
 
     <<x,y>_k, z>_h = <x, <y,z>_h>_k + <<x,z>_h, y>_k
 
 and the index-swap identity <<x,y>_k, z>_h = <<x,y>_h, z>_k.
 
-The constants are also one `Matrix` per algebra, `constants`, with row
-(k*n + i)*n + j the vector c[k][i][j]: every bracket and bracket span reads it.
+The constants are the algebra's one state: a `Matrix`, `constants`, with row
+(k*n + i)*n + j the vector c[k][i][j].  Every bracket and bracket span reads
+it; the nested view `c` is built from it on each read.
 
 Codimension-1 splits run on subalgebras A held as subspaces of L: each
 spans A's brackets once, as D^2 A, and an elimination on the at most
@@ -20,7 +21,6 @@ basis extends it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatch, NotClosed, NotSolvable
@@ -32,45 +32,43 @@ Tensor = tuple[tuple[Vector, ...], ...]  # [i][j] -> coordinate vector
 
 @dataclass(frozen=True)
 class LieLikeAlgebra:
-    """Structure-constant presentation of a Lie-like algebra."""
+    """Structure-constant presentation of a Lie-like algebra: row
+    (k*dim + i)*dim + j of `constants` is c[k][i][j]."""
 
     dim: int
     s: int
-    c: tuple[Tensor, ...]  # [k][i][j]
+    constants: Matrix
 
     def __post_init__(self):
         if self.dim < 0 or self.s < 0 or (self.s < 1 and self.dim > 0):
             raise DimensionMismatch("need s >= 1 unless dim = 0")
-        if len(self.c) != self.s:
-            raise DimensionMismatch("tensor family size must equal s")
-        for tk in self.c:
-            if len(tk) != self.dim or any(
-                len(ti) != self.dim or any(len(v) != self.dim for v in ti)
-                for ti in tk
-            ):
-                raise DimensionMismatch("structure tensor shape must be s*n*n*n")
+        if not isinstance(self.constants, Matrix):
+            raise TypeError("structure constants must be a Matrix")
+        n = self.dim
+        if (self.constants.nrows, self.constants.ncols) != (self.s * n * n, n):
+            raise DimensionMismatch("structure constants must be (s*n*n) x n")
 
     @classmethod
     def from_constants(
         cls, dim: int, s: int, entries: Mapping[tuple[int, int, int], Iterable]
     ) -> "LieLikeAlgebra":
         """Sparse builder: unspecified (k, i, j) brackets are zero."""
-        c = [
-            [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
-            for _ in range(s)
-        ]
+        rows = [zero_vec(dim)] * (s * dim * dim)
         for (k, i, j), v in entries.items():
-            c[k][i][j] = vec(v)
-        return cls(dim, s, tuple(tuple(tuple(r) for r in tk) for tk in c))
+            if not (0 <= k < s and 0 <= i < dim and 0 <= j < dim):
+                raise DimensionMismatch(f"bracket index {(k, i, j)} out of range")
+            rows[(k * dim + i) * dim + j] = vec(v)
+        return cls(dim, s, Matrix(rows))
 
     def basis(self) -> list[Vector]:
         return [unit_vec(self.dim, i) for i in range(self.dim)]
 
-    @cached_property
-    def constants(self) -> Matrix:
-        """The structure constants as one matrix, built on first read: row
-        (k*dim + i)*dim + j is c[k][i][j]."""
-        return Matrix(v for tk in self.c for ti in tk for v in ti)
+    @property
+    def c(self) -> tuple[Tensor, ...]:
+        """The constants as c[k][i][j], built from `constants` on each read."""
+        n, rows = self.dim, self.constants.rows
+        return tuple(tuple(rows[(k * n + i) * n:(k * n + i + 1) * n] for i in range(n))
+                     for k in range(self.s))
 
 
 @dataclass(frozen=True)
@@ -96,9 +94,10 @@ def is_trivial(L: LieLikeAlgebra) -> tuple[bool, tuple[int, tuple] | None]:
 
     Returns (True, (base_index, scalars)) with c[k] = scalars[k] * c[base]
     when trivial, (False, None) otherwise.  An algebra with s = 1 or with
-    all tensors zero is always trivial.
+    all constants zero is always trivial.
     """
-    flats = [[x for ti in tk for v in ti for x in v] for tk in L.c]
+    n2, rows = L.dim * L.dim, L.constants.rows
+    flats = [[x for v in rows[k * n2:(k + 1) * n2] for x in v] for k in range(L.s)]
     line = Subspace.span(L.dim ** 3, flats)
     if line.dim > 1:
         return False, None
@@ -169,8 +168,8 @@ def restrict_algebra(L: LieLikeAlgebra, A: Subspace) -> LieLikeAlgebra:
     """Structure constants of a bracket-closed subspace in its own basis."""
     if A.ambient != L.dim:
         raise DimensionMismatch("subspace ambient mismatch")
-    coords = [[[A.coords(bracket(L, bi, bj, k)) for bj in A.basis] for bi in A.basis]
-              for k in range(L.s)]
-    if any(w is None for tk in coords for row in tk for w in row):
+    rows = [A.coords(bracket(L, bi, bj, k))
+            for k in range(L.s) for bi in A.basis for bj in A.basis]
+    if any(w is None for w in rows):
         raise NotClosed("subspace is not closed under the brackets")
-    return LieLikeAlgebra(A.dim, L.s, tuple(tuple(map(tuple, tk)) for tk in coords))
+    return LieLikeAlgebra(A.dim, L.s, Matrix(rows))

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 
 from .algebra import LieLikeAlgebra, bracket
-from .linalg import Matrix, inverse, vec
+from .linalg import Matrix, inverse
 from .modules import OrdinaryModule, adjoint, change_basis, direct_sum
 from .serialize import MAX_SIZE
 
@@ -108,13 +108,8 @@ def _graded_nilpotent(rng, n: int, s: int, bound: int) -> LieLikeAlgebra:
 def _scaled_bundle(rng, n: int, s: int, bound: int) -> LieLikeAlgebra:
     base = _graded_nilpotent(rng, n, 1, bound)
     scalars = [1] + [rng.randint(1, bound) for _ in range(s - 1)]
-    c = tuple(
-        tuple(
-            tuple(vec(t * x for x in v) for v in row) for row in base.c[0]
-        )
-        for t in scalars
-    )
-    return LieLikeAlgebra(n, s, c)
+    rows = base.constants.rows
+    return LieLikeAlgebra(n, s, Matrix([t * x for x in v] for t in scalars for v in rows))
 
 
 def random_unimodular(rng, n: int, bound: int) -> Matrix:
@@ -145,14 +140,9 @@ def transform_instance(
     """
     Pinv = inverse(P)
     old_basis = [Pinv.column(i) for i in range(L.dim)]  # new basis in old coords
-    c = tuple(
-        tuple(
-            tuple(P.apply(bracket(L, bi, bj, k)) for bj in old_basis)
-            for bi in old_basis
-        )
-        for k in range(L.s)
-    )
-    L2 = LieLikeAlgebra(L.dim, L.s, c)
+    L2 = LieLikeAlgebra(L.dim, L.s, Matrix(
+        P.apply(bracket(L, bi, bj, k))
+        for k in range(L.s) for bi in old_basis for bj in old_basis))
     F = tuple(tuple(M.f(k, b) for b in old_basis) for k in range(L.s))
     G = tuple(tuple(M.g(k, b) for b in old_basis) for k in range(L.s))
     M2 = OrdinaryModule(L2, M.vdim, F, G)

@@ -5,7 +5,8 @@ Vectors are ``fractions.Fraction`` tuples.  Matrices (one denominator over
 integer rows) and subspaces (canonical integer rows) build their Fractions
 when read; only this module and ``modules._ProductTable`` read the integer
 rows.  An algebra's structure constants are one Matrix, whose rows give the
-bilinear maps that brackets and bracket spans read.  No floating point
+bilinear maps that brackets and bracket spans read; `bilinear_operators`
+builds the adjoint's operators from the same rows.  No floating point
 appears anywhere: `vec` refuses floats.  Values are immutable and
 operations are pure functions.
 """
@@ -482,6 +483,20 @@ def bilinear_span(t: Matrix, a: Subspace, b: Subspace) -> Subspace:
         _bilinear(t, k, x, y) for k in maps for x in a._rows for y in b._rows))
 
 
+def bilinear_operators(t: Matrix, maps: int) -> tuple[tuple, tuple]:
+    """(F, G) for the `maps` bilinear maps of t, as `_bilinear` reads them:
+    G[k][i] is the operator v -> (k-th map at (e_i, v)), whose column j is
+    row (k*n + i)*n + j of t, and F[k][i] is v -> -(k-th map at (v, e_i)),
+    whose column j is minus row (k*n + j)*n + i."""
+    n, d, rows = t.ncols, t._d, t._rows
+    G = tuple(tuple(Matrix._lowest(d, zip(*rows[(k * n + i) * n:(k * n + i + 1) * n]))
+                    for i in range(n)) for k in range(maps))
+    F = tuple(tuple(Matrix._lowest(d, zip(*([-x for x in rows[(k * n + j) * n + i]]
+                                              for j in range(n))))
+                    for i in range(n)) for k in range(maps))
+    return F, G
+
+
 # ---------------------------------------------------------------------------
 # characteristic polynomial and rational eigenvalues
 # ---------------------------------------------------------------------------
@@ -627,6 +642,8 @@ def _images(m: Matrix, within: Subspace) -> tuple[int, list[tuple[int, ...]]]:
     if m.nrows != m.ncols or m.ncols != within.ambient:
         raise DimensionMismatch("operator/subspace ambient mismatch")
     d, dm = m._integer()
+    if within.is_full():  # its rows are the identity's, so the images are DM's columns
+        return d, list(zip(*dm))
     return d, [tuple(sum(map(mul, row, r)) for row in dm) for r in within._rows]
 
 
@@ -687,7 +704,8 @@ def _restricted(images: tuple, s: Subspace) -> tuple[int, list[list[int]]]:
     """(L, LR) for R the restriction to s of M, from `_images(M, s)`: b = r/r[p]
     has Mb = (DM)r / (D r[p]), read at the pivots; L is the lcm of the D r[p]."""
     d, ys = images
-    if not all(map(s._holds, ys)):
+    # every operator preserves the whole space
+    if not s.is_full() and not all(map(s._holds, ys)):
         raise NotInvariant("operator does not preserve the subspace")
     dens = [d * r[p] for r, p in zip(s._rows, s.pivots)]
     l = lcm(*dens)

@@ -10,8 +10,8 @@ algebra argument holds by construction.  The defining axioms are
     f_k(x)f_h(y) = f_h(x)f_k(y),  f_k(x)g_h(y) = f_h(x)g_k(y)
 
 The algebra's own identities are checked here too: check_algebra reads
-them off the product table that L's structure constants give for the
-adjoint module, without building that module.  The table holds each
+them off the product table of the adjoint module, whose operators
+`linalg.bilinear_operators` builds from L's constants.  The table holds each
 integer matrix of the checks packed into one int, so that every
 comparison is one int equality; it is the one place here that holds
 integer rows, and the annihilator only names operator pairs for
@@ -34,6 +34,7 @@ from .linalg import (
     Subspace,
     Vector,
     _sparse,
+    bilinear_operators,
     block_diagonal,
     inverse,
     is_invariant,
@@ -73,7 +74,7 @@ class OrdinaryModule:
     def _product_table(self) -> "_ProductTable":
         """The one table that check_module and check_derived_identities
         read; the operators never change, so it is built once."""
-        return _ProductTable(self.algebra, self)
+        return _ProductTable(self)
 
 
 def _linear_combination(ops: Sequence[Matrix], z: Vector, m: int) -> Matrix:
@@ -121,13 +122,12 @@ class _ProductTable:
     difference of two values decodes to its exact entries, which are read
     only for a failing tuple's residual.
 
-    The table is built from a module M over L or, with M None, straight
-    from L's constants as the table of the adjoint module (L, -r_k, l_k):
-    G_k(e_i)[l][j] = E*c[k][i][j][l] and F_k(e_i)[l][j] = -E*c[k][j][i][l],
-    so D = E.  Equal operators and equal constants share one index.
+    Equal operators and equal constants share one index.  For the adjoint
+    module D = E, since every constant is an entry of some G_k(e_i).
     """
 
-    def __init__(self, L: LieLikeAlgebra, M: OrdinaryModule | None = None):
+    def __init__(self, M: OrdinaryModule):
+        L = M.algebra
         n, s = L.dim, L.s
         # row (k*n + i)*n + j of the constants' integer form is E*c[k][i][j]
         e, rows = L.constants._integer()
@@ -137,21 +137,13 @@ class _ProductTable:
         self.c = tuple(tuple(tuple(ids[(k * n + i) * n:(k * n + i + 1) * n]) for i in range(n))
                        for k in range(s))
         self.w = list(w_ids)  # each distinct E*w, by index
-        if M is None:
-            self.d, self.m = e, n
-            fams = (  # integer rows of F'_k(e_i) and G'_k(e_i), by [k][i]
-                [[tuple(zip(*([-x for x in rows[(k * n + j) * n + i]] for j in range(n))))
-                  for i in range(n)] for k in range(s)],
-                [[tuple(zip(*rows[(k * n + i) * n:(k * n + i + 1) * n])) for i in range(n)]
-                 for k in range(s)])
-        else:
-            ops = [op for fam in (M.F, M.G) for fk in fam for op in fk]
-            self.d = d = lcm(*(op._integer()[0] for op in ops))
-            self.m = M.vdim
-            fams = tuple(
-                [[rows if dx == d else tuple(tuple(d // dx * x for x in r) for r in rows)
-                  for dx, rows in (op._integer() for op in fk)] for fk in fam]
-                for fam in (M.F, M.G))
+        ops = [op for fam in (M.F, M.G) for fk in fam for op in fk]
+        self.d = d = lcm(*(op._integer()[0] for op in ops))
+        self.m = M.vdim
+        fams = tuple(
+            [[rows if dx == d else tuple(tuple(d // dx * x for x in r) for r in rows)
+              for dx, rows in (op._integer() for op in fk)] for fk in fam]
+            for fam in (M.F, M.G))
         op_ids: dict[tuple, int] = {}
         # ops[0][k][i] indexes F'[k][i], ops[1][k][i] indexes G'[k][i]
         self.ops = tuple(
@@ -257,9 +249,8 @@ def check_algebra(L: LieLikeAlgebra) -> list[AlgebraViolation]:
     """All violations of the defining identities on basis triples.
 
     By multilinearity an empty result implies the identities for all
-    x, y, z.  Both identities are read off the _ProductTable that L's
-    constants give for the adjoint module, where G_k(x) = <x,.>_k and
-    F_k(y) = -<.,y>_k: column l of
+    x, y, z.  Both identities are read off the _ProductTable of the adjoint
+    module, where G_k(x) = <x,.>_k and F_k(y) = -<.,y>_k: column l of
 
         G_h(<e_i,e_j>_k)                     is <<e_i,e_j>_k, e_l>_h,
         G_k(e_i)G_h(e_j) - F_k(e_j)G_h(e_i)  is <e_i,<e_j,e_l>_h>_k
@@ -270,7 +261,7 @@ def check_algebra(L: LieLikeAlgebra) -> list[AlgebraViolation]:
     (first and last) identity at (i, j, l, k, h).
     """
     n = L.dim
-    t = _ProductTable(L)
+    t = adjoint(L)._product_table
     FG, GG, CG = t.grid(0, 1), t.grid(1, 1), t.combos(1)
     c, e = t.c, t.e
     out = []
@@ -321,19 +312,7 @@ def check_derived_identities(M: OrdinaryModule) -> Report:
 
 def adjoint(L: LieLikeAlgebra) -> OrdinaryModule:
     """The adjoint module (L, -r_k, l_k) on the algebra itself."""
-    n = L.dim
-    F, G = [], []
-    for k in range(L.s):
-        fk, gk = [], []
-        for i in range(n):
-            # a -> -<a, e_i>_k has columns -c[k][j][i]
-            fk.append(linear_combination(
-                ((-1, Matrix(zip(*(L.c[k][j][i] for j in range(n))))),), n, n))
-            # a -> <e_i, a>_k has columns c[k][i][j]
-            gk.append(Matrix(zip(*L.c[k][i])))
-        F.append(tuple(fk))
-        G.append(tuple(gk))
-    return OrdinaryModule(L, n, tuple(F), tuple(G))
+    return OrdinaryModule(L, L.dim, *bilinear_operators(L.constants, L.s))
 
 
 def _annihilator_pairs(fs: Sequence[Matrix], gs: Sequence[Matrix]) -> list:

@@ -164,17 +164,12 @@ def algebra_from_json(obj: Mapping) -> LieLikeAlgebra:
     n = _size(obj, "dim")
     s = _size(obj, "s")
     parse = _scalar_parser()
-    c = []
+    rows = []
     for k, knode in enumerate(_sparse_entries(obj.get("c"), s, "c")):
-        tk = []
         for i, inode in enumerate(_sparse_entries(knode, n, f"c[{k}]")):
-            row = [
-                zero_vec(n) if entry is None else vector_from_json(entry, n, parse)
-                for entry in _sparse_entries(inode, n, f"c[{k}][{i}]")
-            ]
-            tk.append(tuple(row))
-        c.append(tuple(tk))
-    return LieLikeAlgebra(n, s, tuple(c))
+            rows += (zero_vec(n) if entry is None else vector_from_json(entry, n, parse)
+                     for entry in _sparse_entries(inode, n, f"c[{k}][{i}]"))
+    return LieLikeAlgebra(n, s, Matrix(rows))
 
 
 def module_to_json(M: OrdinaryModule) -> dict:

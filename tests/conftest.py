@@ -1,6 +1,6 @@
 import pytest
 
-from lielike import LieLikeAlgebra
+from lielike import LieLikeAlgebra, Matrix
 
 
 @pytest.fixture(scope="session")
@@ -12,10 +12,8 @@ def leib2():
 @pytest.fixture(scope="session")
 def bundle2(leib2):
     """Leib2 doubled with c[1] = 2 c[0]: a trivial bundle."""
-    c1 = tuple(
-        tuple(tuple(2 * x for x in v) for v in row) for row in leib2.c[0]
-    )
-    return LieLikeAlgebra(2, 2, (leib2.c[0], c1))
+    c0 = leib2.constants.rows  # the rows of c[1] follow those of c[0]
+    return LieLikeAlgebra(2, 2, Matrix([*c0, *([2 * x for x in v] for v in c0)]))
 
 
 @pytest.fixture(scope="session")

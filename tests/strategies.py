@@ -81,9 +81,7 @@ def scaled(L, M, t):
     """(t*L, t*M): the constants and every operator multiplied by t.  Each
     identity and axiom has the same degree on both sides, 2 in L and M's
     data together, so a valid instance stays valid."""
-    c = tuple(tuple(tuple(tuple(t * x for x in v) for v in row) for row in tk)
-              for tk in L.c)
-    tL = LieLikeAlgebra(L.dim, L.s, c)
+    tL = LieLikeAlgebra(L.dim, L.s, Matrix([t * x for x in v] for v in L.constants.rows))
     fams = [tuple(tuple(Matrix([[t * x for x in r] for r in op.rows]) for op in fk)
                   for fk in fam) for fam in (M.F, M.G)]
     return tL, OrdinaryModule(tL, M.vdim, *fams)
@@ -101,12 +99,10 @@ def scaled_instances(draw):
 
 def shifted_algebra(L, shifts):
     """L with the structure constants ((k, i, j, a), delta) shifted."""
-    c = [[[list(v) for v in row] for row in tk] for tk in L.c]
+    n, rows = L.dim, [list(v) for v in L.constants.rows]
     for (k, i, j, a), delta in shifts:
-        c[k][i][j][a] += delta
-    return LieLikeAlgebra(L.dim, L.s, tuple(
-        tuple(tuple(tuple(F(x) for x in v) for v in row) for row in tk)
-        for tk in c))
+        rows[(k * n + i) * n + j][a] += delta
+    return LieLikeAlgebra(L.dim, L.s, Matrix(rows))
 
 
 def shifted(M, op_shifts=(), c_shifts=()):

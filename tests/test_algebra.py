@@ -18,7 +18,7 @@ from lielike import (
     split_codim1,
 )
 from lielike.algebra import AlgebraViolation
-from lielike.linalg import is_zero_vec, vec
+from lielike.linalg import Matrix, is_zero_vec, vec
 from reference_linalg import reference_bracket, vadd
 from strategies import AFF1, SL2, bundle, perturbed_modules, shifted_algebra
 
@@ -133,7 +133,7 @@ class TestIntegerCheckMatchesBracketLoop:
         assert violations[0].residual == vec([F(-1, 49)])
 
     def test_empty_algebra(self):
-        assert check_algebra(LieLikeAlgebra(0, 0, ())) == []
+        assert check_algebra(LieLikeAlgebra(0, 0, Matrix([]))) == []
 
 
 class TestIsTrivial:

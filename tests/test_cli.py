@@ -400,25 +400,33 @@ scalar_strings = st.one_of(
 class TestScalarMemo:
     """Each distinct scalar string is parsed once per algebra or module."""
 
+    @staticmethod
+    def counted_parses(monkeypatch):
+        """The strings handed to serialize.scalar_from_str from now on."""
+        parsed, parse = [], serialize.scalar_from_str
+        monkeypatch.setattr(serialize, "scalar_from_str",
+                            lambda s: parsed.append(s) or parse(s))
+        return parsed
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3).flatmap(
         lambda m: st.lists(scalar_strings, min_size=2 * m * m, max_size=2 * m * m)))
     def test_entries_equal_fraction_of_their_string(self, strings):
         m = round((len(strings) // 2) ** 0.5)
         rows = [strings[r * m:(r + 1) * m] for r in range(2 * m)]
-        # the strings also fill one constant vector, which keeps the parsed
-        # Fractions themselves
+        # the strings also fill one constant vector
         obj = {"algebra": {"dim": len(strings), "s": 1, "c": [[[strings]]]},
                "module": {"vdim": m, "F": [[rows[:m]]], "G": [[rows[m:]]]}}
-        L, M, _ = serialize.instance_from_json(obj)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            parsed = self.counted_parses(monkeypatch)
+            L, M, _ = serialize.instance_from_json(obj)
         entries = [x for op in (M.F[0][0], M.G[0][0]) for row in op.rows for x in row]
         constants = L.c[0][0][0]
         for values in (entries, constants):
             assert list(values) == [F(s) for s in strings]
             assert all(type(x) is F for x in values)
-        shared = {}
-        for s, x in zip(strings, constants):
-            assert shared.setdefault(s, x) is x  # equal strings, one Fraction
+        # each distinct string once for the algebra and once for the module
+        assert sorted(parsed) == sorted([*set(strings)] * 2)
 
     def test_repeated_malformed_scalar_still_raises(self):
         parse = serialize._scalar_parser()
@@ -427,13 +435,19 @@ class TestScalarMemo:
             with pytest.raises(ValueError):
                 parse(bad)
 
-    def test_memo_is_per_object(self, leib2):
+    def test_memo_is_per_object(self, monkeypatch, leib2):
         obj = instance_to_json(leib2, adjoint(leib2))
+        leaves = lambda node: [x for y in node for x in leaves(y)] if type(node) is list else [
+            node]
+        # each object's distinct strings: "0" and "1" in both, "-1" in the module's
+        per_object = [set(leaves(obj["algebra"]["c"])),
+                      set(leaves([obj["module"]["F"], obj["module"]["G"]]))]
+        assert per_object == [{"0", "1"}, {"0", "1", "-1"}]
+        parsed = self.counted_parses(monkeypatch)
         (L1, M1, _), (L2, M2, _) = (serialize.instance_from_json(obj) for _ in "12")
         assert L1 == L2 and M1 == M2
-        constants = [(w1, w2) for t1, t2 in zip(L1.c[0], L2.c[0]) for w1, w2 in zip(t1, t2)]
-        pairs = [(x, y) for w1, w2 in constants for x, y in zip(w1, w2) if x]
-        assert pairs and all(x == y and x is not y for x, y in pairs)
+        once = sorted(s for strings in per_object for s in strings)
+        assert sorted(parsed) == sorted(once * 2)  # no memo is shared between calls
 
 
 class TestExponentScalars:

@@ -22,6 +22,7 @@ from lielike.linalg import (
     eigenspace,
     inverse,
     is_common_eigenvector,
+    is_invariant,
     joint_eigenspace,
     kernel,
     linear_combination,
@@ -166,6 +167,21 @@ class TestMatchesReference:
         space, eigs = joint_eigenspace(family, within)
         assert_matches(space, expected[0])
         assert eigs == expected[1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(row_matrices(6, square=True))
+    def test_whole_space_images_and_restriction(self, M):
+        # every operator preserves the whole space, whose images are M's
+        # columns, and restricts to it as itself
+        full = Subspace.full(M.nrows)
+        d, images = linalg._images(M, full)
+        assert [tuple(F(y, d) for y in image) for image in images] == [
+            apply(M, b) for b in full.basis]
+        assert is_invariant([M], full)
+        R = restrict_operator(M, full)
+        assert R.rows == restriction_rows(M.rows, full.basis, full.pivots) == M.rows
+        assert R == M
+        assert linalg._images(Matrix([]), Subspace.full(0)) == (1, [])
 
     def test_full_and_zero(self):
         for n in range(4):

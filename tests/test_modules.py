@@ -313,16 +313,16 @@ class TestOneProductTable:
         assert self.counted(monkeypatch, verified, M)[0] == 2
 
     def test_verify_scales_the_constants_once(self, monkeypatch):
-        # both tables, the derived series and the flag read L.constants,
-        # which is built on its first read only
+        # the constants are scaled to integers once, when L is built: the
+        # adjoint's operators, both tables, the derived series and the flag
+        # read L.constants, and none builds the nested view L.c
         inst = generate(GeneratorSpec("graded-nilpotent", 3, 3, 0))
-        L = LieLikeAlgebra(inst.algebra.dim, inst.algebra.s, inst.algebra.c)
-        M = OrdinaryModule(L, inst.module.vdim, inst.module.F, inst.module.G)
-        prop, built = vars(LieLikeAlgebra)["constants"], []
-        build = prop.func
-        monkeypatch.setattr(prop, "func", lambda L: built.append(L) or build(L))
-        assert run_verify(L, M)[1] == 0
-        assert len(built) == 1 and built[0] is L
+
+        def view(L):
+            raise AssertionError("verify read L.c")
+
+        monkeypatch.setattr(LieLikeAlgebra, "c", property(view))
+        assert run_verify(inst.algebra, inst.module)[1] == 0
 
     def test_derived_identities_reuse_the_module_table(self, monkeypatch):
         M = generate(GeneratorSpec("graded-nilpotent", 3, 3, 0)).module

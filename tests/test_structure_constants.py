@@ -1,13 +1,17 @@
 """The structure constants as one integer matrix per algebra.
 
-`LieLikeAlgebra.constants` holds c[k][i][j] as row (k*n + i)*n + j of one
-`Matrix`.  Every bracket, every bracket span (D^2 A, the derived series,
-ideals) and both product tables read it.  Each route is compared here with
-its old build from the Fraction constants L.c, on arbitrary rational
-constants (valid algebras or not), dim 0-4, s 1-3, and subspaces from zero
-to full.  No reference calls `bracket`.
+`LieLikeAlgebra.constants` is the algebra's one state: c[k][i][j] is row
+(k*n + i)*n + j of one `Matrix`.  Every bracket, every bracket span (D^2 A,
+the derived series, ideals), the adjoint's operators and the product
+tables read it.  Each route is compared here with its old build from the
+Fraction constants L.c, on arbitrary rational constants (valid algebras or
+not), dim 0-4, s 1-3, and subspaces from zero to full; every builder of an
+algebra is compared with the nested tensor it was given.  No reference
+calls `bracket`.
 """
 
+import json
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -26,27 +30,41 @@ from lielike import (
     is_ideal,
     is_trivial,
     linalg,
+    restrict_algebra,
     vec,
 )
 from lielike.errors import DimensionMismatch
+from lielike.generate import _graded_nilpotent, _scaled_bundle, transform_instance
 from lielike.linalg import bilinear_span, unit_vec
 from lielike.modules import _ProductTable
+from lielike.serialize import algebra_from_json, algebra_to_json, dumps, scalar_to_str
 from reference_linalg import reference_bracket
 from test_integer_rows import assert_canonical
 from test_linalg import ENTRY_KINDS
+from test_modules import fraction_adjoint
 
 F = Fraction
 
 
 @st.composite
-def algebras(draw, n_max=4):
-    """Arbitrary rational constants over one entry kind of TestRref's."""
+def tensors(draw, n_max=4):
+    """(n, s, c[k][i][j]): arbitrary rational constants over one entry kind
+    of TestRref's, as a nested tensor of vectors."""
     entries = draw(ENTRY_KINDS)
     n, s = draw(st.integers(0, n_max)), draw(st.integers(1, 3))
     flat = iter(draw(st.lists(entries, min_size=s * n**3, max_size=s * n**3)))
-    c = tuple(tuple(tuple(tuple(next(flat) for _ in range(n)) for _ in range(n))
+    c = tuple(tuple(tuple(vec(next(flat) for _ in range(n)) for _ in range(n))
                     for _ in range(n)) for _ in range(s))
-    return LieLikeAlgebra(n, s, c)
+    return n, s, c
+
+
+def flat_rows(c):
+    """The vectors of a nested tensor in the order of the constants' rows."""
+    return [v for tk in c for ti in tk for v in ti]
+
+
+def algebras(n_max=4):
+    return tensors(n_max).map(lambda t: LieLikeAlgebra(t[0], t[1], Matrix(flat_rows(t[2]))))
 
 
 def subspaces(n):
@@ -104,14 +122,75 @@ class TestConstantsMatrix:
     @settings(max_examples=60, deadline=None)
     @given(algebras())
     def test_rows_are_the_constants(self, L):
-        C = L.constants
-        assert C.rows == tuple(v for tk in L.c for ti in tk for v in ti)
-        assert L.constants is C  # built once per algebra
+        assert L.constants.rows == tuple(flat_rows(L.c))
+        assert L.c == L.c and L.c is not L.c  # the view is built on each read
 
     def test_equal_algebras_compare_by_their_constants(self, nt3):
-        copy = LieLikeAlgebra(nt3.dim, nt3.s, nt3.c)
+        copy = LieLikeAlgebra(nt3.dim, nt3.s, Matrix(nt3.constants.rows))
         assert copy.constants == nt3.constants and copy == nt3
         assert hash(copy) == hash(nt3)
+
+    def test_shape_is_checked(self):
+        for n, s, rows in ((2, 1, [[0, 0]] * 3), (2, 1, [[0]] * 4), (1, 2, [[0]]),
+                           (0, 1, [[0]]), (2, 0, [])):
+            with pytest.raises(DimensionMismatch):
+                LieLikeAlgebra(n, s, Matrix(rows))
+        LieLikeAlgebra(0, 2, Matrix([]))  # no constants at dim 0
+        with pytest.raises(TypeError, match="Matrix"):
+            LieLikeAlgebra(1, 1, (((vec([0]),),),))  # a nested tensor is no state
+
+    def test_from_constants_refuses_keys_out_of_range(self):
+        for key in ((0, -1, 0), (0, 0, -1), (-1, 0, 0), (1, 0, 0), (0, 2, 0), (0, 0, 2)):
+            with pytest.raises(DimensionMismatch, match="out of range"):
+                LieLikeAlgebra.from_constants(2, 1, {key: [1, 0]})
+        L = LieLikeAlgebra.from_constants(2, 1, {(0, 1, 0): [1, 0]})
+        assert L.c[0][1][0] == vec([1, 0])
+
+
+def tensor_json(n, s, c):
+    """The canonical JSON of an algebra holding the tensor c, written
+    straight from c's Fractions."""
+    return dumps({"dim": n, "s": s, "c": [[[[scalar_to_str(x) for x in v] for v in ti]
+                                           for ti in tk] for tk in c]})
+
+
+class TestEveryRouteBuildsOneAlgebra:
+    """Each builder gives the algebra of the tensor it was handed: equal,
+    with one hash, the nested view equal to that tensor, and the JSON bytes
+    written from the tensor itself."""
+
+    @staticmethod
+    def assert_holds(L, n, s, c):
+        assert (L.dim, L.s, L.c) == (n, s, c)
+        assert dumps(algebra_to_json(L)) == tensor_json(n, s, c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tensors())
+    def test_builders_agree(self, case):
+        n, s, c = case
+        L = LieLikeAlgebra.from_constants(
+            n, s, {(k, i, j): c[k][i][j] for k in range(s) for i in range(n) for j in range(n)})
+        full = Subspace.full(n)  # closed under every bracket
+        routes = [LieLikeAlgebra(n, s, Matrix(flat_rows(c))), L,
+                  algebra_from_json(json.loads(dumps(algebra_to_json(L)))),
+                  restrict_algebra(L, full),
+                  transform_instance(L, adjoint(L), Matrix.identity(n))[0]]
+        for other in routes:
+            assert other == L and hash(other) == hash(L)
+            self.assert_holds(other, n, s, c)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32))
+    def test_scaled_bundle_has_its_explicit_constants(self, n, s, bound, seed):
+        L = _scaled_bundle(random.Random(seed), n, s, bound)
+        rng = random.Random(seed)  # the same draws, made by hand
+        base = _graded_nilpotent(rng, n, 1, bound).c[0]
+        ts = [1] + [rng.randint(1, bound) for _ in range(s - 1)]
+        c = tuple(tuple(tuple(vec(t * x for x in v) for v in ti) for ti in base) for t in ts)
+        expected = LieLikeAlgebra.from_constants(
+            n, s, {(k, i, j): c[k][i][j] for k in range(s) for i in range(n) for j in range(n)})
+        assert L == expected and hash(L) == hash(expected)
+        self.assert_holds(L, n, s, c)
 
 
 class TestBracket:
@@ -187,12 +266,15 @@ class TestProductTablesReadTheConstants:
     @given(algebras())
     def test_matches_the_per_table_scaling(self, L):
         expected = scaled_constants(L)
-        algebra_table, module_table = _ProductTable(L), _ProductTable(L, adjoint(L))
-        for t in (algebra_table, module_table):
+        M, reference = adjoint(L), fraction_adjoint(L)
+        assert M == reference
+        table, reference_table = M._product_table, _ProductTable(reference)
+        for t in (table, reference_table):
             assert (t.e, t.c, t.w) == expected
-        # the algebra's table holds the adjoint module's operators
-        assert (algebra_table.d, algebra_table.ops, algebra_table.rows) == (
-            module_table.d, module_table.ops, module_table.rows)
+        # the adjoint's operators hold every constant, so D = E
+        assert table.d == table.e
+        assert (table.d, table.ops, table.rows) == (
+            reference_table.d, reference_table.ops, reference_table.rows)
 
 
 def ratio_is_trivial(L):
@@ -215,8 +297,8 @@ def bundles(draw):
     """c[k] = t_k c[0] over arbitrary constants c[0], some t_k zero."""
     L = draw(algebras())
     ts = draw(st.lists(st.sampled_from([F(0), F(1), F(-2), F(3, 7)]), min_size=1, max_size=3))
-    c = tuple(tuple(tuple(tuple(t * x for x in v) for v in ti) for ti in L.c[0]) for t in ts)
-    return LieLikeAlgebra(L.dim, len(ts), c)
+    c0 = L.constants.rows[:L.dim**2]
+    return LieLikeAlgebra(L.dim, len(ts), Matrix([t * x for x in v] for t in ts for v in c0))
 
 
 class TestIsTrivial:

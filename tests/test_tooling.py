@@ -8,19 +8,24 @@ outside the tests: another library module, a demo, or the benchmark's
 tracer.
 Every name a library module binds with `from ... import` must be used in
 that module.  Integer rows stay inside `linalg`: outside it, only the axiom
-checks' product table reads an operator's integer form.  The command layer
-reads every nonzero exit code from `verify`'s names and its EXIT_CODES table.
+checks' product table reads an operator's integer form.  An algebra holds
+its structure constants once, and the product table is built from a module
+only.  The command layer reads every nonzero exit code from `verify`'s names
+and its EXIT_CODES table.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import sys
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import lielike
-from lielike import adjoint, run_verify
+from lielike import LieLikeAlgebra, adjoint, run_verify
+from lielike.modules import _ProductTable
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "benchmarks"))
@@ -182,6 +187,31 @@ def test_integer_rows_stay_in_linalg():
     assert found == []
 
 
+ALGEBRA_FIELDS = ("dim", "s", "constants")
+
+
+def second_copies(algebra, table):
+    """What would let a second copy of the structure constants or a second
+    way into the product table back in: dataclass fields of the algebra
+    class other than ALGEBRA_FIELDS, a cached property on it, or a table
+    constructor that takes anything but one required positional module."""
+    found = []
+    fields = tuple(f.name for f in dataclasses.fields(algebra))
+    if fields != ALGEBRA_FIELDS:
+        found.append(f"{algebra.__name__} has fields {fields}")
+    found += [f"{algebra.__name__}.{name} is cached" for name, attr in vars(algebra).items()
+              if isinstance(attr, cached_property)]
+    params = list(inspect.signature(table.__init__).parameters.values())[1:]
+    if len(params) != 1 or params[0].kind != params[0].POSITIONAL_OR_KEYWORD or (
+            params[0].default is not params[0].empty):
+        found.append(f"{table.__name__}.__init__ takes {[str(p) for p in params]}")
+    return found
+
+
+def test_constants_are_held_once():
+    assert second_copies(LieLikeAlgebra, _ProductTable) == []
+
+
 SOLVER_ERRORS = {"NonSplitSpectrum", "NotSolvable", "TheoremViolation"}
 
 
@@ -331,6 +361,36 @@ class TestGuardItself:
             "modules.py:7 uses _sparse outside _ProductTable"]
         # the same table in another module is no table
         assert "algebra.py:4 reads ._integer" in integer_row_leaks("algebra.py", tree)
+
+    def test_flags_a_second_copy_of_the_constants(self):
+        @dataclasses.dataclass(frozen=True)
+        class TwoCopies:
+            dim: int
+            s: int
+            constants: object
+            c: tuple
+
+            @cached_property
+            def flat(self):
+                return self.constants
+
+        class TwoPaths:
+            def __init__(self, L, M=None):
+                pass
+
+        class OneOptional:
+            def __init__(self, M=None):
+                pass
+
+        class OnePath:
+            def __init__(self, M):
+                pass
+
+        assert second_copies(TwoCopies, TwoPaths) == [
+            "TwoCopies has fields ('dim', 's', 'constants', 'c')", "TwoCopies.flat is cached",
+            "TwoPaths.__init__ takes ['L', 'M=None']"]
+        assert second_copies(TwoCopies, OneOptional)[-1] == "OneOptional.__init__ takes ['M=None']"
+        assert second_copies(LieLikeAlgebra, OnePath) == []
 
     def test_flags_literal_exit_codes(self):
         tree = ast.parse(
