@@ -437,17 +437,12 @@ class TestScalarMemo:
 
     def test_memo_is_per_object(self, monkeypatch, leib2):
         obj = instance_to_json(leib2, adjoint(leib2))
-        leaves = lambda node: [x for y in node for x in leaves(y)] if type(node) is list else [
-            node]
-        # each object's distinct strings: "0" and "1" in both, "-1" in the module's
-        per_object = [set(leaves(obj["algebra"]["c"])),
-                      set(leaves([obj["module"]["F"], obj["module"]["G"]]))]
-        assert per_object == [{"0", "1"}, {"0", "1", "-1"}]
         parsed = self.counted_parses(monkeypatch)
         (L1, M1, _), (L2, M2, _) = (serialize.instance_from_json(obj) for _ in "12")
         assert L1 == L2 and M1 == M2
-        once = sorted(s for strings in per_object for s in strings)
-        assert sorted(parsed) == sorted(once * 2)  # no memo is shared between calls
+        # per call, each object's distinct strings once: "0" and "1" in the
+        # algebra, "0", "1" and "-1" in the module; no memo outlives a call
+        assert sorted(parsed) == sorted(["0", "1", "0", "1", "-1"] * 2)
 
 
 class TestExponentScalars:

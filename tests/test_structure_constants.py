@@ -63,6 +63,12 @@ def flat_rows(c):
     return [v for tk in c for ti in tk for v in ti]
 
 
+def entries(c):
+    """A nested tensor as `from_constants` entries, every (k, i, j) given."""
+    return {(k, i, j): v for k, tk in enumerate(c) for i, ti in enumerate(tk)
+            for j, v in enumerate(ti)}
+
+
 def algebras(n_max=4):
     return tensors(n_max).map(lambda t: LieLikeAlgebra(t[0], t[1], Matrix(flat_rows(t[2]))))
 
@@ -168,8 +174,7 @@ class TestEveryRouteBuildsOneAlgebra:
     @given(tensors())
     def test_builders_agree(self, case):
         n, s, c = case
-        L = LieLikeAlgebra.from_constants(
-            n, s, {(k, i, j): c[k][i][j] for k in range(s) for i in range(n) for j in range(n)})
+        L = LieLikeAlgebra.from_constants(n, s, entries(c))
         full = Subspace.full(n)  # closed under every bracket
         routes = [LieLikeAlgebra(n, s, Matrix(flat_rows(c))), L,
                   algebra_from_json(json.loads(dumps(algebra_to_json(L)))),
@@ -187,8 +192,7 @@ class TestEveryRouteBuildsOneAlgebra:
         base = _graded_nilpotent(rng, n, 1, bound).c[0]
         ts = [1] + [rng.randint(1, bound) for _ in range(s - 1)]
         c = tuple(tuple(tuple(vec(t * x for x in v) for v in ti) for ti in base) for t in ts)
-        expected = LieLikeAlgebra.from_constants(
-            n, s, {(k, i, j): c[k][i][j] for k in range(s) for i in range(n) for j in range(n)})
+        expected = LieLikeAlgebra.from_constants(n, s, entries(c))
         assert L == expected and hash(L) == hash(expected)
         self.assert_holds(L, n, s, c)
 
