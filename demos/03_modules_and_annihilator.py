@@ -25,7 +25,7 @@ nt3 = LieLikeAlgebra.from_constants(
 )
 M = adjoint(nt3)
 print("adjoint module axiom violations:", check_module(M))
-print("index-swap consequences hold:", check_derived_identities(M).ok)
+print("index-swap consequences hold:", check_derived_identities(M) == [])
 
 ann = plus_annihilator(M)
 print("\nplus annihilator dimension:", ann.dim)

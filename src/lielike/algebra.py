@@ -21,11 +21,11 @@ basis extends it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, NotClosed, NotSolvable
 from .linalg import (
-    ZERO, Matrix, Subspace, Vector, bilinear, bilinear_span, unit_vec, vec, zero_vec)
+    ZERO, Matrix, Subspace, Vector, bilinear, bilinear_span, vec, zero_vec)
 
 Tensor = tuple[tuple[Vector, ...], ...]  # [i][j] -> coordinate vector
 
@@ -59,9 +59,6 @@ class LieLikeAlgebra:
                 raise DimensionMismatch(f"bracket index {(k, i, j)} out of range")
             rows[(k * dim + i) * dim + j] = vec(v)
         return cls(dim, s, Matrix(rows))
-
-    def basis(self) -> list[Vector]:
-        return [unit_vec(self.dim, i) for i in range(self.dim)]
 
     @property
     def c(self) -> tuple[Tensor, ...]:
@@ -168,8 +165,17 @@ def restrict_algebra(L: LieLikeAlgebra, A: Subspace) -> LieLikeAlgebra:
     """Structure constants of a bracket-closed subspace in its own basis."""
     if A.ambient != L.dim:
         raise DimensionMismatch("subspace ambient mismatch")
-    rows = [A.coords(bracket(L, bi, bj, k))
-            for k in range(L.s) for bi in A.basis for bj in A.basis]
+    return in_basis(L, A.basis, A.coords)
+
+
+def in_basis(
+    L: LieLikeAlgebra, basis: Sequence[Vector], coords: Callable[[Vector], Vector | None]
+) -> LieLikeAlgebra:
+    """The constants of L in a basis b_i of a bracket-closed subspace, the
+    b_i given in L's coordinates and coords(v) the coordinates of v in that
+    basis: c'[k][i][j] = coords(<b_i, b_j>_k).  Raises NotClosed where
+    coords returns None."""
+    rows = [coords(bracket(L, bi, bj, k)) for k in range(L.s) for bi in basis for bj in basis]
     if any(w is None for w in rows):
         raise NotClosed("subspace is not closed under the brackets")
-    return LieLikeAlgebra(A.dim, L.s, Matrix(rows))
+    return LieLikeAlgebra(len(basis), L.s, Matrix(rows))

@@ -1,7 +1,8 @@
 """Seeded instance generator.
 
-Every construction emits a solvable algebra passing the axiom check and a
-module built from adjoints, so generated instances are always valid:
+Every construction builds a solvable algebra passing the axiom check; the
+module is then its adjoint, or for direct-sum the sum of two adjoints, so
+generated instances are always valid:
 
 - abelian: zero structure constants.
 - graded-nilpotent: a two-step grading V1 + V2 with <V2, V2>_k random in
@@ -10,9 +11,11 @@ module built from adjoints, so generated instances are always valid:
 - scaled-leibniz-bundle: one graded-nilpotent Leibniz tensor replicated
   with per-index scalars, so the bundle is trivial by construction.
 - direct-sum: graded-nilpotent algebra with the module adjoint + adjoint.
-- basis-changed: graded-nilpotent instance conjugated (algebra and module
-  alike) by a random unimodular integer matrix, which hides the grading
-  without leaving the rationals or disturbing spectra.
+- basis-changed: graded-nilpotent algebra rewritten in the basis with new
+  coordinates v' = Pv, P a random unimodular integer matrix, which hides the
+  grading without leaving the rationals or disturbing spectra.  The
+  adjoint is defined by the brackets alone, so the adjoint of the new
+  algebra is the old adjoint conjugated by P.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .algebra import LieLikeAlgebra, bracket
+from .algebra import LieLikeAlgebra, in_basis
 from .linalg import Matrix, inverse
-from .modules import OrdinaryModule, adjoint, change_basis, direct_sum
+from .modules import OrdinaryModule, adjoint, direct_sum
 from .serialize import MAX_SIZE
 
 CONSTRUCTIONS = (
@@ -66,23 +69,20 @@ def generate(spec: GeneratorSpec) -> Instance:
     rng = random.Random(
         f"{spec.construction}|{spec.dim}|{spec.s}|{spec.seed}|{spec.coefficient_bound}"
     )
+    bound = spec.coefficient_bound
     if spec.construction == "abelian":
         L = LieLikeAlgebra.from_constants(spec.dim, spec.s, {})
-        M = adjoint(L)
-    elif spec.construction == "graded-nilpotent":
-        L = _graded_nilpotent(rng, spec.dim, spec.s, spec.coefficient_bound)
-        M = adjoint(L)
     elif spec.construction == "scaled-leibniz-bundle":
-        L = _scaled_bundle(rng, spec.dim, spec.s, spec.coefficient_bound)
-        M = adjoint(L)
-    elif spec.construction == "direct-sum":
-        L = _graded_nilpotent(rng, spec.dim, spec.s, spec.coefficient_bound)
-        base = adjoint(L)
-        M = direct_sum(base, base)
-    else:  # basis-changed composite
-        L0 = _graded_nilpotent(rng, spec.dim, spec.s, spec.coefficient_bound)
-        P = random_unimodular(rng, spec.dim, spec.coefficient_bound)
-        L, M = transform_instance(L0, adjoint(L0), P)
+        L = _scaled_bundle(rng, spec.dim, spec.s, bound)
+    else:
+        L = _graded_nilpotent(rng, spec.dim, spec.s, bound)
+    if spec.construction == "basis-changed":
+        P = random_unimodular(rng, spec.dim, bound)
+        Pinv = inverse(P)  # its columns are the new basis in old coordinates
+        L = in_basis(L, [Pinv.column(i) for i in range(L.dim)], P.apply)
+    M = adjoint(L)
+    if spec.construction == "direct-sum":
+        M = direct_sum(M, M)
     metadata = {
         "construction": spec.construction,
         "dim": spec.dim,
@@ -129,23 +129,3 @@ def random_unimodular(rng, n: int, bound: int) -> Matrix:
             rows[i] = [-a for a in rows[i]]
     return Matrix(rows)
 
-
-def transform_instance(
-    L: LieLikeAlgebra, M: OrdinaryModule, P: Matrix
-) -> tuple[LieLikeAlgebra, OrdinaryModule]:
-    """Rewrite algebra and module in the basis with new coordinates v' = Pv.
-
-    The module space is transformed by P when vdim equals the algebra
-    dimension (the adjoint situation), otherwise left untouched.
-    """
-    Pinv = inverse(P)
-    old_basis = [Pinv.column(i) for i in range(L.dim)]  # new basis in old coords
-    L2 = LieLikeAlgebra(L.dim, L.s, Matrix(
-        P.apply(bracket(L, bi, bj, k))
-        for k in range(L.s) for bi in old_basis for bj in old_basis))
-    F = tuple(tuple(M.f(k, b) for b in old_basis) for k in range(L.s))
-    G = tuple(tuple(M.g(k, b) for b in old_basis) for k in range(L.s))
-    M2 = OrdinaryModule(L2, M.vdim, F, G)
-    if M.vdim == L.dim:
-        M2 = change_basis(M2, P)
-    return L2, M2

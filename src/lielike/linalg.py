@@ -27,7 +27,6 @@ from .errors import (
     Singular,
 )
 
-Scalar = Fraction
 Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)

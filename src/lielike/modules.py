@@ -90,14 +90,6 @@ class ModuleViolation:
     residual: Matrix
 
 
-@dataclass(frozen=True)
-class Report:
-    """Outcome of a check that lists its failures instead of raising."""
-
-    ok: bool
-    failures: tuple[str, ...] = ()
-
-
 class _ProductTable:
     """Packed integer images of one module's operators, for the axiom checks.
 
@@ -284,17 +276,18 @@ def check_algebra(L: LieLikeAlgebra) -> list[AlgebraViolation]:
     return out
 
 
-def check_derived_identities(M: OrdinaryModule) -> Report:
-    """Confirm f_h(<x,y>_k) = f_k(<x,y>_h) and the g analogue.
+def check_derived_identities(M: OrdinaryModule) -> list[str]:
+    """Every failure of f_h(<x,y>_k) = f_k(<x,y>_h) and the g analogue on
+    basis pairs; empty iff both hold.
 
     These follow from the axioms over a valid algebra; a failure signals an
-    internal inconsistency, never a user error, so the outcome is reported
-    rather than raised.  Each side is a combination of the module's
-    _ProductTable, which check_module has usually built already.
+    internal inconsistency, never a user error, so it is listed rather than
+    raised.  Each side is a combination of the module's _ProductTable, which
+    check_module has usually built already.
     """
     L = M.algebra
     if L.s < 2:  # the identities pair two distinct indices
-        return Report(True)
+        return []
     t = M._product_table
     CF, CG, c = t.combos(0), t.combos(1), t.c
     failures = []
@@ -307,7 +300,7 @@ def check_derived_identities(M: OrdinaryModule) -> Report:
                         failures.append(f"f-swap at (k={k}, h={h}, i={i}, j={j})")
                     if CG[h][wk] != CG[k][wh]:
                         failures.append(f"g-swap at (k={k}, h={h}, i={i}, j={j})")
-    return Report(not failures, tuple(failures))
+    return failures
 
 
 def adjoint(L: LieLikeAlgebra) -> OrdinaryModule:

@@ -34,8 +34,15 @@ from lielike import (
     weight_space,
 )
 from lielike.linalg import Vector, is_common_eigenvector
-from lielike.modules import Report
 from lielike.solver import _weight_pairs
+
+
+@dataclass(frozen=True)
+class Report:
+    """Outcome of a check that lists its failures instead of raising."""
+
+    ok: bool
+    failures: tuple[str, ...] = ()
 
 
 class NormalizerPreconditionFailed(LieLikeError):

@@ -206,7 +206,7 @@ def chain_levels(L):
     greedy_split and restrict_algebra run down from L, and each level's x
     and A's basis are mapped back through the level's basis."""
     n, level = L.dim, L
-    basis = L.basis()  # the level's basis, in L's coordinates
+    basis = Subspace.full(L.dim).basis  # the level's basis, in L's coordinates
     levels = []
     while level.dim:
         A, x = greedy_split(level)

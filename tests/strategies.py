@@ -20,9 +20,12 @@ from lielike import (
     Matrix,
     OrdinaryModule,
     adjoint,
+    change_basis,
     generate,
 )
-from lielike.generate import random_unimodular, transform_instance
+from lielike.algebra import in_basis
+from lielike.generate import random_unimodular
+from lielike.linalg import inverse
 
 # brackets (i, j) -> <e_i, e_j> of Lie algebras that are not nilpotent:
 # unlike the two-step nilpotent algebras of every generator construction,
@@ -50,6 +53,20 @@ def diagonal(entries):
     n = len(entries)
     return Matrix([[x if i == j else 0 for j in range(n)]
                    for i, x in enumerate(entries)])
+
+
+def transform_instance(L, M, P):
+    """(L, M) rewritten in the basis with new coordinates v' = Pv: the
+    operators are reindexed to the new basis of L, and the module space is
+    transformed by P too when vdim equals L's dimension (as for the
+    adjoint), otherwise left as it is."""
+    Pinv = inverse(P)
+    old_basis = [Pinv.column(i) for i in range(L.dim)]  # new basis in old coords
+    L2 = in_basis(L, old_basis, P.apply)
+    F = tuple(tuple(M.f(k, b) for b in old_basis) for k in range(L.s))
+    G = tuple(tuple(M.g(k, b) for b in old_basis) for k in range(L.s))
+    M2 = OrdinaryModule(L2, M.vdim, F, G)
+    return L2, change_basis(M2, P) if M.vdim == L.dim else M2
 
 
 @st.composite

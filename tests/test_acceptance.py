@@ -109,7 +109,7 @@ def test_criterion_2_adjoint_is_module(corpus):
     for inst in corpus:
         ok = ok and check_algebra(inst.algebra) == []
         ok = ok and check_module(inst.module) == []
-        ok = ok and check_derived_identities(inst.module).ok
+        ok = ok and check_derived_identities(inst.module) == []
     report(2, "adjoint is a module", ok)
 
 

@@ -76,7 +76,7 @@ def naive_check_algebra(L):
     basis triple, residuals as Fractions."""
     violations = []
     n, s, c = L.dim, L.s, L.c
-    basis = L.basis()
+    basis = Subspace.full(L.dim).basis
     for k in range(s):
         for h in range(s):
             for i in range(n):

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import random
 from contextlib import redirect_stdout
 
 import pytest
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 from lielike import (
     CONSTRUCTIONS,
     GeneratorSpec,
+    Matrix,
+    Subspace,
+    adjoint,
     check_algebra,
     check_module,
     generate,
@@ -18,12 +22,15 @@ from lielike import (
     run_verify,
 )
 from lielike import cli
+from lielike.algebra import in_basis
+from lielike.generate import _graded_nilpotent, random_unimodular
 from lielike.serialize import (
     MAX_SIZE,
     dumps,
     instance_from_json,
     instance_to_json,
 )
+from strategies import transform_instance
 
 
 class TestGeneratorSpec:
@@ -99,6 +106,27 @@ class TestConstructions:
         inst = generate(GeneratorSpec("abelian", 2, 1, 9))
         assert inst.metadata["construction"] == "abelian"
         assert inst.metadata["seed"] == 9
+
+
+class TestBasisChangeIsNatural:
+    """basis-changed rewrites only the algebra in the new basis and takes
+    its adjoint.  The adjoint is defined by the brackets alone, so this must
+    equal the old algebra's adjoint rewritten with it: reindexed to the new
+    basis and conjugated by P.  The rewrite in the identity basis is the
+    identity."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 5), st.integers(1, 3), st.integers(), st.integers(1, 3))
+    def test_equals_the_conjugated_adjoint(self, n, s, seed, bound):
+        inst = generate(GeneratorSpec("basis-changed", n, s, seed, bound))
+        # generate's draws, in its order
+        rng = random.Random(f"basis-changed|{n}|{s}|{seed}|{bound}")
+        L0 = _graded_nilpotent(rng, n, s, bound)
+        L, M = transform_instance(L0, adjoint(L0), random_unimodular(rng, n, bound))
+        assert inst.algebra == L and inst.module == M
+        assert dumps(instance_to_json(L, M, inst.metadata)) == dumps(
+            instance_to_json(inst.algebra, inst.module, inst.metadata))
+        assert in_basis(L, Subspace.full(n).basis, Matrix.identity(n).apply) == L
 
 
 class TestDeterminism:

@@ -19,10 +19,11 @@ from lielike import (
     weight_space,
 )
 from lielike.algebra import bracket
-from lielike.generate import random_unimodular, transform_instance
+from lielike.generate import random_unimodular
 from lielike.linalg import inverse, zero_vec
 from lemma_checks import split_setup
 from reference_linalg import scalar_matrix
+from strategies import transform_instance
 
 specs = st.builds(
     GeneratorSpec,
@@ -51,7 +52,7 @@ def test_derived_algebra_is_second_derived_term(spec):
     L = generate(spec).algebra
     d2 = derived_algebra(L)
     assert d2 == derived_series(L)[1]
-    basis = L.basis()
+    basis = Subspace.full(L.dim).basis
     brackets = [
         bracket(L, u, v, k) for u in basis for v in basis for k in range(L.s)
     ]

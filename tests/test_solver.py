@@ -36,7 +36,7 @@ from lielike import (
     weight_space,
 )
 from lielike import CONSTRUCTIONS, algebra, linalg, modules, solver, verify
-from lielike.generate import random_unimodular, transform_instance
+from lielike.generate import random_unimodular
 from lielike.linalg import common_eigenspace, vec
 from lielike.algebra import _split_codim1
 import lemma_checks
@@ -62,6 +62,7 @@ from strategies import (
     basis_changed_instances,
     bundle,
     perturbed_modules,
+    transform_instance,
     valid_instances,
 )
 

@@ -34,11 +34,12 @@ from lielike import (
     vec,
 )
 from lielike.errors import DimensionMismatch
-from lielike.generate import _graded_nilpotent, _scaled_bundle, transform_instance
+from lielike.generate import _graded_nilpotent, _scaled_bundle
 from lielike.linalg import bilinear_span, unit_vec
 from lielike.modules import _ProductTable
 from lielike.serialize import algebra_from_json, algebra_to_json, dumps, scalar_to_str
 from reference_linalg import reference_bracket
+from strategies import transform_instance
 from test_integer_rows import assert_canonical
 from test_linalg import ENTRY_KINDS
 from test_modules import fraction_adjoint
@@ -99,7 +100,7 @@ def fraction_span(L, A, B):
 
 def loop_is_ideal(L, I):
     """The bracket/contains loop over I's basis and L's standard basis."""
-    units = L.basis()
+    units = Subspace.full(L.dim).basis
     return all(I.contains(reference_bracket(L, u, v, k)) for b in I.basis for e in units
                for u, v in ((b, e), (e, b)) for k in range(L.s))
 
@@ -225,7 +226,7 @@ class TestBilinearSpan:
         assert S == fraction_span(L, A, B)
         assert_canonical(S)
         # pairs of standard lines span at most s constants each
-        lines = [Subspace.span(L.dim, [e]) for e in L.basis()]
+        lines = [Subspace.span(L.dim, [e]) for e in Subspace.full(L.dim).basis]
         for X in lines:
             for Y in lines:
                 assert bilinear_span(L.constants, X, Y) == fraction_span(L, X, Y)

@@ -1,8 +1,9 @@
 """Static guards on the library source, by the standard `ast` module.
 
-Every function, class and method defined in `src/lielike` must be exported
-from `lielike` or referenced by name from `src/lielike` or `benchmarks/`
-(outside its own body): code that only the tests use belongs in the tests.
+Every function, class, method and top-level assignment in `src/lielike` must
+be exported from `lielike` or referenced by name from `src/lielike` or
+`benchmarks/` (outside its own body): code that only the tests use belongs
+in the tests.
 For the same reason every name exported from `lielike` needs a caller
 outside the tests: another library module, a demo, or the benchmark's
 tracer.
@@ -53,11 +54,24 @@ def definitions(tree, owner=""):
             yield from definitions(node, owner)
 
 
+def assignments(tree):
+    """(name, node) for every name a module binds by a top-level assignment."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                    yield name.id, node
+
+
 def references(tree, enclosing=()):
-    """(name, enclosing definition nodes) for every Name and Attribute."""
+    """(name, enclosing definition nodes) for every Name read and every
+    Attribute; binding a name is not a reference to it."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, ast.Name):
-            yield node.id, enclosing
+            if not isinstance(node.ctx, ast.Store):
+                yield node.id, enclosing
         elif isinstance(node, ast.Attribute):
             yield node.attr, enclosing
         inner = enclosing + (node,) if isinstance(node, DEFINITIONS) else enclosing
@@ -74,13 +88,14 @@ def referrers(callers):
 
 
 def unreferenced(library, callers, exported):
-    """Qualified names of library definitions that nothing outside their
-    own body refers to and that are not exported."""
+    """Qualified names of library definitions and top-level assignments
+    that nothing outside their own body refers to and that are not
+    exported."""
     refs = referrers(callers)
     dead = []
     for module, tree in library:
-        for qualname, node in definitions(tree):
-            name = node.name
+        for qualname, node in [*definitions(tree), *assignments(tree)]:
+            name = qualname.rsplit(".", 1)[-1]
             if name.startswith("__") and name.endswith("__"):
                 continue  # reached through the language, not by name
             if "." not in qualname and name in exported:
@@ -317,6 +332,18 @@ class TestGuardItself:
         src = "class A:\n    def m(self): pass\n"
         assert self.scan(src, exported={"A"}) == ["m.py:A.m"]
         assert self.scan(src, "A().m()\n", exported={"A"}) == []
+
+    def test_flags_unused_top_level_assignment(self):
+        src = (
+            "Alias = int\n"
+            "USED: int = 1\n"
+            "A, (B, C) = 1, (2, 3)\n"
+            "obj.attr = A\n"
+            "__all__ = []\n"
+            "def f(): return USED + B\n"
+        )
+        assert self.scan(src, "f()\n") == ["m.py:Alias", "m.py:C"]
+        assert self.scan(src, "f(Alias, C)\n") == []
 
     def test_flags_export_only_its_own_body_calls(self):
         lib = ast.parse("def loop(n):\n    return loop(n - 1)\ndef user(): return loop(1)\n")
