@@ -32,10 +32,7 @@ from .linalg import (
     eigenspace,
     is_invariant,
     joint_eigenspace,
-    joint_eigenvector,
-    kernel,
     rational_eigenvalues,
-    restrict_operator,
     vec,
 )
 from .modules import (
@@ -49,7 +46,6 @@ from .modules import (
     direct_sum,
     is_submodule,
     plus_annihilator,
-    restrict_module,
 )
 from .solver import (
     SolveResult,

@@ -1,5 +1,5 @@
 """Exact rational linear algebra: vectors, matrices, canonical subspaces,
-rational eigen-computations, and joint-eigenvector search.
+rational eigen-computations, and joint eigenspaces.
 
 Vectors are ``fractions.Fraction`` tuples.  Matrices (one denominator over
 integer rows) and subspaces (canonical integer rows) build their Fractions
@@ -268,12 +268,6 @@ def _reduce(rows: Iterable[Sequence[int]]) -> tuple[tuple, tuple[int, ...]]:
     return tuple(map(_normalized, work, pivots)), tuple(pivots)
 
 
-def rref(rows: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
-    """Reduced row-echelon form over Q; returns (nonzero rows, pivot columns)."""
-    red, pivots = _reduce(map(_primitive_ints, rows))
-    return [_over(r, r[p]) for r, p in zip(red, pivots)], list(pivots)
-
-
 def _null_space(rows: Iterable[Sequence[int]], n: int) -> tuple[tuple, tuple[int, ...]]:
     """Canonical rows and pivots of {v in Q^n : r.v = 0 for each integer row r}.
 
@@ -435,20 +429,17 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
 
-def kernel(m: Matrix) -> Subspace:
-    """Null space {v : Mv = 0} in canonical form."""
-    return Subspace(m.ncols, *_null_space(m._integer()[1], m.ncols))
-
-
 def inverse(m: Matrix) -> Matrix:
     if m.nrows != m.ncols:
         raise DimensionMismatch("inverse of a non-square matrix")
     n, (d, dm) = m.nrows, m._integer()
-    # [DM | DI] has the reduced form of [M | I]
-    rows, pivots = rref([row + tuple(d * (j == i) for j in range(n)) for i, row in enumerate(dm)])
-    if pivots != list(range(n)):
+    # [DM | DI] has the reduced form of [M | I]; row i of M^-1 is r[n:]/r[i]
+    # for the reduced row r with pivot i, taken over the lcm of the pivots
+    rows, pivots = _reduce(row + tuple(d * (j == i) for j in range(n)) for i, row in enumerate(dm))
+    if pivots != tuple(range(n)):
         raise Singular("matrix is singular")
-    return Matrix([row[n:] for row in rows])
+    l = lcm(*(r[i] for i, r in enumerate(rows)))
+    return Matrix._lowest(l, ([l // r[i] * x for x in r[n:]] for i, r in enumerate(rows)))
 
 
 def _bilinear(t: Matrix, k: int, x: Sequence[int], y: Sequence[int]) -> list[int]:
@@ -686,13 +677,8 @@ def is_invariant(ops: Iterable[Matrix], space: Subspace) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# restrictions and joint eigenvectors
+# joint eigenspaces
 # ---------------------------------------------------------------------------
-
-def restrict_operator(m: Matrix, s: Subspace) -> Matrix:
-    """Matrix of M in the canonical basis of an M-invariant subspace."""
-    return Matrix._lowest(*_restricted(_images(m, s), s))
-
 
 def _restricted(images: tuple, s: Subspace) -> tuple[int, list[list[int]]]:
     """(L, LR) for R the restriction to s of M, from `_images(M, s)`: b = r/r[p]
@@ -732,15 +718,3 @@ def joint_eigenspace(
         current = _eigen_step(images, lam, current)
         eigs.append(lam)
     return current, eigs
-
-
-def joint_eigenvector(
-    family: Sequence[Matrix], within: Subspace
-) -> tuple[Vector, list[Fraction]]:
-    """A common eigenvector of the family inside `within`.
-
-    Deterministic: the first canonical basis vector of the surviving joint
-    eigenspace.  An empty family returns the first basis vector of `within`.
-    """
-    space, eigs = joint_eigenspace(family, within)
-    return space.basis[0], eigs

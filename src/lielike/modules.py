@@ -333,21 +333,6 @@ def is_submodule(M: OrdinaryModule, U: Subspace) -> bool:
     return is_invariant((op for fam in (M.F, M.G) for fk in fam for op in fk), U)
 
 
-def restrict_module(
-    M: OrdinaryModule, A: Subspace, LA: LieLikeAlgebra
-) -> OrdinaryModule:
-    """Reindex the operator families to the canonical basis of a subalgebra."""
-    if A.ambient != M.algebra.dim or LA.dim != A.dim or LA.s != M.algebra.s:
-        raise DimensionMismatch("subalgebra does not match the subspace")
-    F = tuple(
-        tuple(M.f(k, b) for b in A.basis) for k in range(M.algebra.s)
-    )
-    G = tuple(
-        tuple(M.g(k, b) for b in A.basis) for k in range(M.algebra.s)
-    )
-    return OrdinaryModule(LA, M.vdim, F, G)
-
-
 def change_basis(M: OrdinaryModule, P: Matrix) -> OrdinaryModule:
     """Conjugate every operator by P (raises Singular when P is not)."""
     if P.nrows != M.vdim or P.ncols != M.vdim:

@@ -41,7 +41,6 @@ from .linalg import (
     is_common_eigenvector,
     is_zero_vec,
     joint_eigenspace,
-    joint_eigenvector,
     rational_eigenvalues,
     unit_vec,
     zero_vec,
@@ -219,9 +218,10 @@ def _extend(grid: Grid, values: Sequence[Fraction]) -> Grid:
 def _annihilator_branch(Fx, Gx, meet, phi, psi):
     """Branch (i): a common f-eigenvector inside U meet the annihilator."""
     try:
-        v0, lams = joint_eigenvector(Fx, meet)
+        space, lams = joint_eigenspace(Fx, meet)
     except NotInvariant as exc:
         raise TheoremViolation("f_k(x) must preserve U meet the annihilator") from exc
+    v0 = space.basis[0]
     images = [g.apply(v0) for g in Gx]
     h0 = next((h for h, img in enumerate(images) if not is_zero_vec(img)), None)
     if h0 is None:
@@ -233,6 +233,7 @@ def _annihilator_branch(Fx, Gx, meet, phi, psi):
 def _case1_witness(U: Subspace, Fx, Gx) -> Vector | None:
     """(f_h(x) - g_h(x))w for the first basis vector w of U, then the
     smallest h, where it is nonzero; None when f and g agree on U."""
+    # (f_h - g_h)(x) maps into ann, so an invariant U puts the witness in U meet ann = 0
     diffs = [f - g for f, g in zip(Fx, Gx)]
     for wvec in U.basis:
         for d in diffs:

@@ -4,9 +4,10 @@ Each check takes a codimension-1 ideal A of all of L and an x completing
 it, with a module M: normalizer invariance of a joint eigenspace, the
 congruences for the iterates of g_h(x), and the vanishing of the
 restricted weight on the brackets with x.  `split_setup` builds such a
-split from the library's public `split_codim1`, `restrict_algebra`,
-`restrict_module` and `solve`.  `solve` itself never restricts the
-algebra: these checks and their set-up are test-side only.
+split from the library's public `split_codim1`, `restrict_algebra` and
+`solve`, with the reference solver's `restrict_module`.  `solve` itself
+never restricts the algebra: these checks and their set-up are test-side
+only.
 """
 
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ from lielike import (
     is_invariant,
     plus_annihilator,
     restrict_algebra,
-    restrict_module,
     solve,
     split_codim1,
     vec,
@@ -35,6 +35,7 @@ from lielike import (
 )
 from lielike.linalg import Vector, is_common_eigenvector
 from lielike.solver import _weight_pairs
+from reference_solver import restrict_module
 
 
 @dataclass(frozen=True)

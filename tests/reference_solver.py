@@ -1,8 +1,9 @@
 """The recursive solver, kept as the reference for `solve`.
 
 It follows the inductive proof literally: at every level it splits off a
-codimension-1 ideal, restricts the algebra and the module to it, solves
-there, recomputes the plus annihilator of the module it was given, and
+codimension-1 ideal, restricts the algebra and the module to it (the
+module by `restrict_module`, kept here since `solve` never restricts),
+solves there, recomputes the plus annihilator of the module it was given, and
 converts the functionals to its own standard basis by inverting the basis
 (A's basis, x).  `solve` computes the same flag once and runs the levels in
 one loop; the two must agree on every instance, result and error alike.
@@ -24,6 +25,7 @@ from lielike import (
     NonSplitSpectrum,
     NotInvariant,
     NotSolvable,
+    OrdinaryModule,
     SolveResult,
     Subspace,
     TheoremViolation,
@@ -33,11 +35,9 @@ from lielike import (
     eigenspace,
     is_solvable,
     joint_eigenspace,
-    joint_eigenvector,
     plus_annihilator,
     rational_eigenvalues,
     restrict_algebra,
-    restrict_module,
     verify_weight,
     weight_space,
 )
@@ -60,6 +60,16 @@ def recursive_solve(L, M):
     if not verify_weight(M, v, w):
         raise TheoremViolation("solver produced a vector that fails Eq (36)")
     return SolveResult(v, w, check_dichotomy(w), tuple(trace))
+
+
+def restrict_module(M, A, LA):
+    """M on the subalgebra A: its operator families reindexed to A's
+    canonical basis, over LA = restrict_algebra(L, A)."""
+    if A.ambient != M.algebra.dim or LA.dim != A.dim or LA.s != M.algebra.s:
+        raise DimensionMismatch("subalgebra does not match the subspace")
+    F = tuple(tuple(M.f(k, b) for b in A.basis) for k in range(M.algebra.s))
+    G = tuple(tuple(M.g(k, b) for b in A.basis) for k in range(M.algebra.s))
+    return OrdinaryModule(LA, M.vdim, F, G)
 
 
 def _weight_space(M, w):
@@ -109,18 +119,20 @@ def _solve(L, M):
     except NotInvariant as exc:
         raise TheoremViolation("f_k(x) must preserve the weight space") from exc
     try:
-        v, mus = joint_eigenvector(Gx, u_lam)
+        space, mus = joint_eigenspace(Gx, u_lam)
     except NotInvariant as exc:
         raise TheoremViolation(
             "g_k(x) must preserve the joint eigenspace in case 2") from exc
+    v = space.basis[0]
     return v, ext.extend(phi_rec, lams), ext.extend(psi_rec, mus), [TAG_CASE_2] + trace_rec
 
 
 def _annihilator_branch(Fx, Gx, meet, ext, phi_rec, psi_rec):
     try:
-        v0, lams = joint_eigenvector(Fx, meet)
+        space, lams = joint_eigenspace(Fx, meet)
     except NotInvariant as exc:
         raise TheoremViolation("f_k(x) must preserve U meet the annihilator") from exc
+    v0 = space.basis[0]
     images = [g.apply(v0) for g in Gx]
     h0 = next((h for h, img in enumerate(images) if not is_zero_vec(img)), None)
     if h0 is None:

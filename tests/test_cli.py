@@ -647,7 +647,8 @@ junk = st.one_of(
     st.sampled_from([-1, 0, 1, 2, 3, MAX_SIZE + 1]),
     st.floats(), st.booleans(), st.none(),
     st.dictionaries(st.sampled_from(["0", "1", "5", "-1", "01", "x"]),
-                    st.sampled_from(["0", "1", []]), max_size=2),
+                    # a fresh list each draw: "overlong" extends lists in place
+                    st.one_of(st.sampled_from(["0", "1"]), st.builds(list)), max_size=2),
     st.lists(st.sampled_from(["0", "1", "1e2"]), max_size=4),
 )
 

@@ -24,10 +24,8 @@ from lielike.linalg import (
     is_common_eigenvector,
     is_invariant,
     joint_eigenspace,
-    kernel,
     linear_combination,
     rational_eigenvalues,
-    restrict_operator,
 )
 from reference_linalg import (
     apply,
@@ -40,7 +38,15 @@ from reference_linalg import (
     reference_rref,
     restriction_rows,
 )
-from test_linalg import ENTRY_KINDS, joint_cases, row_lists, row_matrices, small_fracs
+from test_linalg import (
+    ENTRY_KINDS,
+    joint_cases,
+    kernel,
+    restrict_operator,
+    row_lists,
+    row_matrices,
+    small_fracs,
+)
 
 F = Fraction
 

